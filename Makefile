@@ -1,11 +1,11 @@
 GO ?= go
 # BENCH_TAG is the single source of the snapshot name; bump it once per PR
 # (CI and cmd/xbarbench both take the name from here).
-BENCH_TAG ?= pr8
+BENCH_TAG ?= pr13
 BENCH_OUT ?= BENCH_$(BENCH_TAG).json
 BENCHTIME ?= 0.5s
 # bench-diff compares against the previous PR's committed snapshot.
-BENCH_BASELINE ?= BENCH_pr7.json
+BENCH_BASELINE ?= BENCH_pr8.json
 # bench-best compares against the best snapshot ever committed, so a slow
 # regression across several PRs can't hide behind per-PR drift budgets.
 BENCH_BEST ?= BENCH_best.json

@@ -439,8 +439,10 @@ func BenchmarkEngineMixedBatch64(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Micro-benches for the algorithm kernels.
 
-// BenchmarkMunkres times the assignment kernel at Table II scale (a 300x300
-// binary matching matrix).
+// BenchmarkMunkres times the reference assignment oracle at Table II scale
+// (a 300x300 binary matching matrix). Production mapping solves this step
+// by bipartite matching; mapping.BenchmarkBipartiteMatch runs the same
+// instance, so the snapshot records both.
 func BenchmarkMunkres(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := 300

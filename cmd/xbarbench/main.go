@@ -41,7 +41,7 @@ import (
 const defaultBench = "BenchmarkRowMatch$|BenchmarkBatchRowMatch|BenchmarkMatchRowKernel|" +
 	"BenchmarkTranspose|BenchmarkYield200|BenchmarkHBAMap|BenchmarkColumnAware$|" +
 	"BenchmarkColumnAwareScratch|BenchmarkTable2HBA|BenchmarkTable2EA|" +
-	"BenchmarkMunkres|BenchmarkDefectGenerate|BenchmarkFig8Example|" +
+	"BenchmarkMunkres|BenchmarkBipartiteMatch|BenchmarkDefectGenerate|BenchmarkFig8Example|" +
 	"BenchmarkJournalAppend|BenchmarkJournalReplay"
 
 // Result is one parsed benchmark line.

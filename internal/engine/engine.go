@@ -447,7 +447,10 @@ func (e *Engine) Submit(ctx context.Context, specs []JobSpec) (*Batch, error) {
 }
 
 // Run submits the batch and blocks until every job finishes (or is
-// cancelled), returning results in spec order.
+// cancelled), returning results in spec order. The returned results are
+// the batch's only record: Run drops its job statuses and stream record
+// from the stores the HTTP service polls, so an in-process caller looping
+// over Run (the experiment studies) leaves no per-job state behind.
 func (e *Engine) Run(ctx context.Context, specs []JobSpec) ([]JobResult, error) {
 	b, err := e.Submit(ctx, specs)
 	if err != nil {
@@ -461,6 +464,15 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) ([]JobResult, error) 
 	for r := range b.Results {
 		out[pos[r.ID]] = r
 	}
+	// Every job has finished (its status was set before its result was
+	// sent), so nothing writes these entries again. The ids left in the
+	// insertion orders are pruned as missing entries once over the limit.
+	e.mu.Lock()
+	for _, id := range b.IDs {
+		delete(e.status, id)
+	}
+	delete(e.batches, b.ID)
+	e.mu.Unlock()
 	return out, nil
 }
 

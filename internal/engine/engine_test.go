@@ -237,6 +237,40 @@ func TestHashKeyIdentity(t *testing.T) {
 	}
 }
 
+// TestCanonicalHashGolden pins CanonicalHash for one spec of each job kind.
+// The synthesis and Monte Carlo values predate mapResultVersion and must
+// never move: journals and caches hold results under them. The map values
+// include mapResultVersion, so they must differ from the keys the same specs
+// had before the version was introduced (pre) — results journaled by the
+// Munkres-based mappers are never served to the matching-based ones.
+func TestCanonicalHashGolden(t *testing.T) {
+	for _, tc := range []struct {
+		spec      JobSpec
+		want, pre string
+	}{
+		{spec: JobSpec{Kind: SynthTwoLevel, Benchmark: "rd53"},
+			want: "a03bcaa99665f9e9d2284b29165f94f982f49104d38e240bf1aca7e0668b0f2c"},
+		{spec: JobSpec{Kind: SynthMultiLevel, Benchmark: "rd53", MaxFanin: 3},
+			want: "c2e3089c24fd671f716daeedd1d094aded9dce1aa4098333562850aff6649fd4"},
+		{spec: JobSpec{Kind: MonteCarloYield, Benchmark: "rd53", OpenRate: 0.1, Samples: 200, Seed: 2018, Algorithm: "EA"},
+			want: "e14fed7c5ed51422a0161bfe628d2143b17a085207c78e93a1fd117fc86c629a"},
+		{spec: JobSpec{Kind: MapHBA, Benchmark: "rd53", Minimize: true, OpenRate: 0.1, Seed: 7},
+			want: "cf4fed940c75bb8bd601e2e97b43c53eb9df63002a57bfea68a97845f1ceb5a6",
+			pre:  "8cdc8f311847955e59e97ac1bc26b76ad3142f896116c87bc721a6d3c6cd4fb7"},
+		{spec: JobSpec{Kind: MapEA, Benchmark: "rd53", Minimize: true, OpenRate: 0.1, Seed: 7},
+			want: "7c41afd2758344f4323202ac430df0c932414571acbbb17e5fb4c895db2bfd32",
+			pre:  "3ad19f1af472f2c2b3902fdfb4866348672c713d7c13f8ef0982e365f3232702"},
+	} {
+		got := tc.spec.CanonicalHash()
+		if got != tc.want {
+			t.Errorf("%s: CanonicalHash = %s, want %s", tc.spec.Kind, got, tc.want)
+		}
+		if got == tc.pre {
+			t.Errorf("%s: CanonicalHash still equals the pre-version key", tc.spec.Kind)
+		}
+	}
+}
+
 func TestEngineRunsBatchAndSaturatesPool(t *testing.T) {
 	const workers = 2
 	e := New(Options{Workers: workers, CacheSize: -1})
@@ -427,6 +461,32 @@ func TestEngineSubmitValidation(t *testing.T) {
 	e.Close() // double close is safe
 	if _, err := e.Submit(context.Background(), []JobSpec{fig8Spec(SynthTwoLevel)}); err == nil {
 		t.Fatal("submit after close must fail")
+	}
+}
+
+// TestRunLeavesNoJobState: Run's results are the batch's only record, so
+// a caller looping over Run does not grow the status store or the batch
+// registry the HTTP service polls.
+func TestRunLeavesNoJobState(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	results, err := e.Run(context.Background(), []JobSpec{fig8Spec(SynthTwoLevel), fig8Spec(SynthMultiLevel)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != "" {
+			t.Fatalf("job %s: %s", r.ID, r.Err)
+		}
+		if _, ok := e.Job(r.ID); ok {
+			t.Errorf("job %s still in the status store after Run", r.ID)
+		}
+	}
+	e.mu.Lock()
+	statuses, batches := len(e.status), len(e.batches)
+	e.mu.Unlock()
+	if statuses != 0 || batches != 0 {
+		t.Errorf("after Run: %d statuses, %d batches tracked, want 0", statuses, batches)
 	}
 }
 

@@ -18,15 +18,30 @@ import (
 // many members or retries saw them.
 func (s JobSpec) CanonicalHash() string { return hex.EncodeToString([]byte(s.hashKey())) }
 
+// mapResultVersion versions the assignment a map-hba or map-ea job returns.
+// Both algorithms may pick any of several valid CM rows for a layout row, so
+// a change to which one they pick bumps this constant: journals and caches
+// then never serve an assignment the running code would not produce. It is
+// folded into map keys only — synthesis results and Monte Carlo Psucc do not
+// depend on which valid row a mapper picks, so their keys, and the journal
+// records stored under them, stay valid.
+//
+// Version 2: the exact assignment step is bipartite matching instead of
+// Munkres' method.
+const mapResultVersion = 2
+
 // hashKey is the canonical identity of a job: two specs with equal keys
 // compute the same result and may share one cache entry. The key covers
 // every field that influences the output — the function source (with the
 // in-memory cover rendered to its deterministic PLA form), synthesis
-// options, fabric parameters, and Monte Carlo parameters — and excludes
-// scheduling-only fields (TimeoutMS).
+// options, fabric parameters, Monte Carlo parameters and, for map jobs,
+// mapResultVersion — and excludes scheduling-only fields (TimeoutMS).
 func (s JobSpec) hashKey() string {
 	h := sha256.New()
 	hstr(h, string(s.Kind))
+	if s.Kind == MapHBA || s.Kind == MapEA {
+		hint(h, mapResultVersion)
+	}
 	switch {
 	case s.Layout != nil:
 		// The layout identity is its geometry, line kinds, and the packed

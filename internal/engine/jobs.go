@@ -31,7 +31,8 @@ const (
 	// MapHBA maps the synthesized layout onto one defective fabric with
 	// the paper's hybrid algorithm.
 	MapHBA Kind = "map-hba"
-	// MapEA maps with the exact (Munkres) algorithm.
+	// MapEA maps with the paper's exact algorithm (EA): a complete
+	// assignment by bipartite matching, found whenever one exists.
 	MapEA Kind = "map-ea"
 	// MonteCarloYield runs a defect-map Monte Carlo batch and reports the
 	// mapping success rate Psucc and mean per-sample algorithm time.
@@ -259,7 +260,7 @@ func executeSynthMultiLevel(spec JobSpec) (JobResult, error) {
 	}, nil
 }
 
-// mapScratchPool shares mapping scratches (candidate matrices, Munkres
+// mapScratchPool shares mapping scratches (candidate matrices, matcher
 // buffers) across map jobs instead of allocating a fresh one per request;
 // under concurrent single-map traffic the scratch is the dominant per-job
 // allocation once layouts are cached.
@@ -312,54 +313,30 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 	// jobs, and serial per-sample rng derivation keeps Psucc identical to
 	// the one-shot experiment code paths. The job owns one preallocated
 	// defect map (regenerated in place per trial) and one mapping scratch,
-	// so the trial loop is allocation-free in steady state.
-	//
-	// Trial-setup failures (problem construction, defect regeneration) must
-	// fail the job, never count as failed samples: Outcome{} here would
-	// silently depress Psucc — the paper's headline statistic. Trials can't
-	// return errors, so the first one is recorded (and the run cancelled so
-	// the remaining samples abort instead of spinning as no-ops) and the
-	// record is checked after the run, before the harness's own error.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	var trialMu sync.Mutex
-	var trialErr error
-	fail := func(err error) {
-		trialMu.Lock()
-		if trialErr == nil {
-			trialErr = err
-		}
-		trialMu.Unlock()
-		cancelRun()
-	}
+	// so the trial loop is allocation-free in steady state. Trial-setup
+	// failures (problem construction, defect regeneration) are reported as
+	// Outcome.Err, which fails the job instead of counting as a failed
+	// sample that would silently depress Psucc.
 	sum, err := montecarlo.RunFactory(montecarlo.Options{
 		Samples: spec.Samples,
 		Seed:    spec.Seed,
-		Context: runCtx,
+		Context: ctx,
 	}, func() montecarlo.Trial {
 		dm := defect.NewMap(l.Rows+spec.SpareRows, l.Cols)
 		scratch := mapping.NewScratch()
 		p, pErr := mapping.NewProblem(l, dm)
-		if pErr != nil {
-			fail(pErr)
-			return func(int, *rand.Rand) montecarlo.Outcome { return montecarlo.Outcome{} }
-		}
 		return func(i int, rng *rand.Rand) montecarlo.Outcome {
+			if pErr != nil {
+				return montecarlo.Outcome{Err: pErr}
+			}
 			if genErr := dm.Regenerate(params, rng); genErr != nil {
-				fail(genErr)
-				return montecarlo.Outcome{}
+				return montecarlo.Outcome{Err: genErr}
 			}
 			start := time.Now()
 			r := algo(p, scratch)
 			return montecarlo.Outcome{Success: r.Valid, Elapsed: time.Since(start)}
 		}
 	})
-	trialMu.Lock()
-	setupErr := trialErr
-	trialMu.Unlock()
-	if setupErr != nil {
-		return JobResult{}, setupErr
-	}
 	if err != nil {
 		return JobResult{}, err
 	}

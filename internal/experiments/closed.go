@@ -75,18 +75,24 @@ func ClosedTolerance(circuit string, closedRates []float64, sparePairs, spareRow
 					rowScratch := mapping.NewScratch()
 					colScratch := mapping.NewColumnScratch()
 					return func(i int, rng *rand.Rand) montecarlo.Outcome {
+						if fpErr != nil {
+							return montecarlo.Outcome{Err: fpErr}
+						}
 						if genErr := dm.Regenerate(defect.Params{POpen: openRate, PClosed: rate}, rng); genErr != nil {
-							return montecarlo.Outcome{}
+							return montecarlo.Outcome{Err: genErr}
 						}
 						mapping.ProjectDefectsInto(fdm, dm, spec, l, fixedAssign)
-						if fpErr == nil && mapping.HBAScratch(fixedProblem, rowScratch).Valid {
+						if mapping.HBAScratch(fixedProblem, rowScratch).Valid {
 							fixed++
 						}
 						res, caErr := mapping.ColumnAwareScratch(l, dm, spec, mapping.ColumnOptions{Seed: int64(i)}, colScratch)
-						if caErr == nil && res.Valid {
+						if caErr != nil {
+							return montecarlo.Outcome{Err: caErr}
+						}
+						if res.Valid {
 							col++
 						}
-						return montecarlo.Outcome{Success: caErr == nil && res.Valid}
+						return montecarlo.Outcome{Success: res.Valid}
 					}
 				})
 			if err != nil {

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -91,4 +94,68 @@ func TestMultiLevelMappingEngineMatchesSerial(t *testing.T) {
 		s.HBA.Psucc != p.HBA.Psucc || s.EA.Psucc != p.EA.Psucc {
 		t.Errorf("rows differ: %+v vs %+v", s, p)
 	}
+}
+
+// jobRateErr is the error the engine's monte-carlo-yield job fails with on
+// the given defect rates — the message every serial study must fail with
+// too, instead of reporting the invalid rate as Psucc 0.
+func jobRateErr(t *testing.T, e *engine.Engine, open, closed float64) string {
+	t.Helper()
+	results, err := e.Run(context.Background(), []engine.JobSpec{{
+		Kind: engine.MonteCarloYield, Benchmark: "rd53",
+		OpenRate: open, ClosedRate: closed, Samples: 5, Seed: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err == "" {
+		t.Fatalf("engine accepted rates open=%v closed=%v", open, closed)
+	}
+	return results[0].Err
+}
+
+// wantRateErr fails the test unless err carries the engine job's message.
+func wantRateErr(t *testing.T, study string, err error, want string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: err = %v, want one carrying %q", study, err, want)
+	}
+}
+
+func TestYieldInvalidRateFails(t *testing.T) {
+	e := engine.New(engine.Options{CacheSize: -1})
+	defer e.Close()
+	want := jobRateErr(t, e, 1.5, 0)
+	_, err := Yield("bw", []int{0}, []float64{1.5}, 10, 1)
+	wantRateErr(t, "Yield", err, want)
+	_, err = YieldEngine(e, "bw", []int{0}, []float64{1.5}, 10, 1)
+	wantRateErr(t, "YieldEngine", err, want)
+}
+
+func TestTable2InvalidRateFails(t *testing.T) {
+	e := engine.New(engine.Options{CacheSize: -1})
+	defer e.Close()
+	want := jobRateErr(t, e, -0.2, 0)
+	for _, opt := range []Table2Options{
+		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}},
+		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}, Parallel: true},
+		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}, Engine: e},
+	} {
+		_, err := Table2(opt)
+		wantRateErr(t, fmt.Sprintf("Table2 (parallel=%v, engine=%v)", opt.Parallel, opt.Engine != nil), err, want)
+	}
+}
+
+func TestAblationInvalidRateFails(t *testing.T) {
+	e := engine.New(engine.Options{CacheSize: -1})
+	defer e.Close()
+	_, err := Ablation("rd53", 5, 1.5, 1)
+	wantRateErr(t, "Ablation", err, jobRateErr(t, e, 1.5, 0))
+}
+
+func TestClosedToleranceInvalidRateFails(t *testing.T) {
+	e := engine.New(engine.Options{CacheSize: -1})
+	defer e.Close()
+	_, err := ClosedTolerance("rd53", []float64{0.98}, []int{0}, []int{0}, 0.05, 5, 1)
+	wantRateErr(t, "ClosedTolerance", err, jobRateErr(t, e, 0.05, 0.98))
 }

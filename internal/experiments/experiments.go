@@ -373,7 +373,9 @@ var (
 // studies: per worker, one preallocated defect map regenerated in place per
 // trial plus mapping scratch buffers, so the steady-state trial loop is
 // allocation-free. Results are bit-identical to generating a fresh map per
-// trial because Regenerate consumes the rng exactly like Generate.
+// trial because Regenerate consumes the rng exactly like Generate. A trial
+// that cannot be set up reports Outcome.Err, failing the study with the
+// same error the engine's monte-carlo-yield job fails with.
 func yieldTrialFactory(l *xbar.Layout, spareRows int, params defect.Params,
 	algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) montecarlo.TrialFactory {
 	return func() montecarlo.Trial {
@@ -382,10 +384,10 @@ func yieldTrialFactory(l *xbar.Layout, spareRows int, params defect.Params,
 		p, pErr := mapping.NewProblem(l, dm)
 		return func(i int, rng *rand.Rand) montecarlo.Outcome {
 			if pErr != nil {
-				return montecarlo.Outcome{}
+				return montecarlo.Outcome{Err: pErr}
 			}
 			if genErr := dm.Regenerate(params, rng); genErr != nil {
-				return montecarlo.Outcome{}
+				return montecarlo.Outcome{Err: genErr}
 			}
 			start := time.Now()
 			res := algo(p, scratch)

@@ -211,10 +211,10 @@ func Ablation(circuit string, samples int, rate float64, seed int64) ([]Ablation
 				p, pErr := mapping.NewProblem(l, dm)
 				return func(i int, rng *rand.Rand) montecarlo.Outcome {
 					if pErr != nil {
-						return montecarlo.Outcome{}
+						return montecarlo.Outcome{Err: pErr}
 					}
 					if genErr := dm.Regenerate(defect.Params{POpen: rate}, rng); genErr != nil {
-						return montecarlo.Outcome{}
+						return montecarlo.Outcome{Err: genErr}
 					}
 					start := time.Now()
 					res := mapping.HBAWith(p, opt)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bitmat"
-	"repro/internal/munkres"
 )
 
 // HBAOptions exposes the hybrid algorithm's design choices for ablation:
@@ -16,8 +15,9 @@ import (
 type HBAOptions struct {
 	// Backtracking enables the single-level relocation step of Algorithm 1.
 	Backtracking bool
-	// ExactOutputs assigns output rows with Munkres; when false, outputs
-	// are placed with the same greedy scan as products.
+	// ExactOutputs assigns output rows with an exact bipartite matching
+	// (the paper's Munkres step); when false, outputs are placed with the
+	// same greedy scan as products.
 	ExactOutputs bool
 	// DensityOrder places the densest product rows (most required-active
 	// devices) first instead of top-to-bottom. Hard rows grab scarce
@@ -124,9 +124,9 @@ func HBAWith(p *Problem, opt HBAOptions) Result {
 	if !opt.ExactOutputs {
 		// First-fit output placement among the free rows, with no
 		// relocation: this isolates exactly the choice the paper motivates
-		// (Munkres on outputs vs continuing the greedy scan). Whenever the
-		// first-fit succeeds, Munkres also succeeds, so the exact variant
-		// dominates this one by construction.
+		// (an exact assignment of the outputs vs continuing the greedy
+		// scan). Whenever the first-fit succeeds, the exact matching also
+		// succeeds, so the exact variant dominates this one by construction.
 		for _, i := range outputs {
 			t := findUnmatched(i, -1)
 			if t < 0 {
@@ -141,31 +141,29 @@ func HBAWith(p *Problem, opt HBAOptions) Result {
 		return Result{Valid: true, Assignment: place, Stats: stats}
 	}
 
-	var free []int
+	freeRow := bitmat.NewRow(nCM)
 	for t := 0; t < nCM; t++ {
 		if occupant[t] == -1 {
-			free = append(free, t)
+			freeRow.Set(t)
 		}
 	}
-	if len(free) < len(outputs) {
+	if bitmat.PopCount(freeRow) < len(outputs) {
 		return Result{Reason: "not enough free rows for outputs", Stats: stats}
 	}
-	forbidden := make([][]bool, len(outputs))
-	for k, i := range outputs {
-		forbidden[k] = make([]bool, len(free))
-		for u, t := range free {
-			forbidden[k][u] = !p.rowMatches(i, t, &stats)
+	// Candidate bitsets of the output rows over the free CM rows, one
+	// counted per-pair test each.
+	cand := bitmat.New(p.Layout.Rows, nCM)
+	for _, i := range outputs {
+		row := cand.Row(i)
+		for t := freeRow.NextSet(0); t >= 0; t = freeRow.NextSet(t + 1) {
+			if p.rowMatches(i, t, &stats) {
+				row.Set(t)
+			}
 		}
 	}
-	assign, ok, err := munkres.SolveBinary(forbidden)
-	if err != nil {
-		return Result{Reason: err.Error(), Stats: stats}
-	}
-	if !ok {
+	var m matcher
+	if !m.match(cand, outputs, freeRow, place) {
 		return Result{Reason: "outputs cannot be assigned defect-free", Stats: stats}
-	}
-	for k, i := range outputs {
-		place[i] = free[assign[k]]
 	}
 	return Result{Valid: true, Assignment: place, Stats: stats}
 }

@@ -4,7 +4,8 @@ package mapping
 // refactored algorithms must agree with the retained pre-refactor scalar
 // implementations. The reference* functions below are verbatim copies of the
 // pre-refactor code paths (per-column scans, no stuck-closed row pruning,
-// full-matrix Munkres), built on scalarRowMatches.
+// full-matrix Munkres from internal/munkres, the test oracle of the
+// assignment step), built on scalarRowMatches.
 
 import (
 	"math/rand"
@@ -219,32 +220,40 @@ func TestPackedMatcherAgreesWithScalar(t *testing.T) {
 
 // TestAlgorithmsMatchPreRefactor pins Naive/HBA/EA to the pre-refactor
 // implementations on stuck-open instances (the Table II regime, where EA's
-// up-front pruning is a no-op): identical Valid, Assignment, and Backtracks.
-// MatchChecks is compared only for Naive — HBA and EA now enumerate from
-// batched candidate bitsets, so their check count is the deterministic
-// enumeration volume (layout rows × CM rows) rather than the early-exit
-// scan count of the per-pair references.
+// up-front pruning is a no-op). Naive is pinned exactly: Valid, Assignment
+// and Stats. HBA and EA must agree on Valid and Backtracks, and every
+// assignment they return must pass Validate. HBA's product rows land
+// exactly where the reference puts them — that phase is unchanged — but
+// the CM row an output row (HBA) or any row (EA) lands on may differ: the
+// references solve the assignment with Munkres, the algorithms with
+// bipartite matching, and both pick one of possibly many valid
+// placements. MatchChecks is compared only for Naive — HBA and EA
+// enumerate from batched candidate bitsets, so their check count is the
+// deterministic enumeration volume (layout rows × CM rows) rather than the
+// early-exit scan count of the per-pair references.
 func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 	property := func(seed int64) bool {
 		p, err := randomProblem(seed%10_000, int(uint64(seed)%3), 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		check := func(name string, got, want Result) bool {
+		check := func(name string, got, want Result, samePlace []int) bool {
 			if got.Valid != want.Valid || got.Stats.Backtracks != want.Stats.Backtracks {
 				t.Logf("seed %d %s: got Valid=%v %+v, want Valid=%v %+v",
 					seed, name, got.Valid, got.Stats, want.Valid, want.Stats)
 				return false
 			}
-			if got.Valid {
-				if len(got.Assignment) != len(want.Assignment) {
+			if !got.Valid {
+				return true
+			}
+			if err := p.Validate(got.Assignment); err != nil {
+				t.Logf("seed %d %s: %v", seed, name, err)
+				return false
+			}
+			for _, r := range samePlace {
+				if got.Assignment[r] != want.Assignment[r] {
+					t.Logf("seed %d %s: assignment differs at row %d", seed, name, r)
 					return false
-				}
-				for r := range got.Assignment {
-					if got.Assignment[r] != want.Assignment[r] {
-						t.Logf("seed %d %s: assignment differs at row %d", seed, name, r)
-						return false
-					}
 				}
 			}
 			return true
@@ -254,6 +263,10 @@ func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 			t.Logf("seed %d naive: stats %+v vs %+v", seed, gotN.Stats, wantN.Stats)
 			return false
 		}
+		allRows := make([]int, p.Layout.Rows)
+		for r := range allRows {
+			allRows[r] = r
+		}
 		gotH := HBA(p)
 		wantChecks := (p.Layout.Rows) * p.Defects.Rows
 		if gotH.Stats.MatchChecks != wantChecks {
@@ -261,20 +274,22 @@ func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 				seed, gotH.Stats.MatchChecks, wantChecks)
 			return false
 		}
-		return check("naive", gotN, wantN) &&
-			check("hba", gotH, referenceHBA(p)) &&
-			check("ea", Exact(p), referenceExact(p))
+		return check("naive", gotN, wantN, allRows) &&
+			check("hba", gotH, referenceHBA(p), p.Layout.ProductRows()) &&
+			check("ea", Exact(p), referenceExact(p), nil)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAlgorithmsMatchWithClosedDefects covers the stuck-closed regime. HBA
-// and Naive are structurally unchanged, so they stay fully identical. EA now
-// prunes poisoned CM rows before Munkres — the assignment may legitimately
-// differ among equally-valid ones — so EA is pinned on Valid plus an
-// independent Validate of any assignment it returns.
+// TestAlgorithmsMatchWithClosedDefects covers the stuck-closed regime. Naive
+// is structurally unchanged, so it stays fully identical; HBA is pinned on
+// Valid and Backtracks. EA matches on the candidate bitsets, which exclude
+// poisoned CM rows, instead of running Munkres on the full matrix — the
+// assignment may legitimately differ among equally-valid ones — so EA is
+// pinned on Valid plus an independent Validate of any assignment it
+// returns.
 func TestAlgorithmsMatchWithClosedDefects(t *testing.T) {
 	property := func(seed int64) bool {
 		p, err := randomProblem(seed%10_000, 1+int(uint64(seed)%3), 0.03)

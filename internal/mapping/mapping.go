@@ -1,9 +1,14 @@
 // Package mapping implements the defect-tolerant logic mapping algorithms of
 // the paper's Section IV-B: the naive (defect-blind) mapper of Fig. 7(a),
-// the exact algorithm (EA) that solves the full row-assignment problem with
-// Munkres' method, and the hybrid algorithm (HBA, Algorithm 1) that places
-// product rows with a greedy backtracking heuristic and reserves the exact
-// assignment for the critical output rows.
+// the exact algorithm (EA) that solves the full row-assignment problem, and
+// the hybrid algorithm (HBA, Algorithm 1) that places product rows with a
+// greedy backtracking heuristic and reserves the exact assignment for the
+// critical output rows. The paper solves the assignment with Munkres'
+// method; here it is bipartite matching on the candidate bitsets (match.go),
+// which finds a complete assignment exactly when a zero-cost Munkres
+// assignment exists, so every Psucc is the same while the cost drops from
+// O(n³) floating-point steps to word scans. internal/munkres remains as
+// the test oracle.
 //
 // Rows of the function matrix (FM) are matched to rows of the crossbar
 // matrix (CM): an FM row fits a CM row when every required-active device
@@ -17,11 +22,12 @@
 // step further and never test pairs in their enumeration loops at all: the
 // batched kernel (bitmat.MatchRowAgainst) computes each FM row's full
 // candidate bitset over every CM row in one pass, and the greedy scans,
-// backtracking relocations, and Munkres matrix construction read those
-// bitsets with word operations — visiting rows in the same top-to-bottom
-// order as the pre-batch scans, so placements are bit-identical. The
-// pre-refactor scalar matcher is retained (scalarRowMatches) as the
-// reference implementation the equivalence tests check both paths against.
+// backtracking relocations, and assignment matching read those bitsets
+// with word operations — the greedy and backtracking scans visit rows in
+// the same top-to-bottom order as the pre-batch scans, so product
+// placements are bit-identical. The pre-refactor scalar matcher is
+// retained (scalarRowMatches) as the reference implementation the
+// equivalence tests check both paths against.
 package mapping
 
 import (
@@ -29,7 +35,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/defect"
-	"repro/internal/munkres"
 	"repro/internal/xbar"
 )
 
@@ -83,19 +88,18 @@ func NewProblem(l *xbar.Layout, dm *defect.Map) (*Problem, error) {
 }
 
 // Scratch holds the reusable working storage of one mapping worker: the
-// assignment buffers, the candidate-bitset matrix, the forbidden matrix, and
-// a Munkres solver. One Scratch per goroutine makes the Monte Carlo yield
-// trial loop allocation-free in steady state. The zero value is ready; a
-// Scratch must not be shared between goroutines.
+// assignment buffers, the candidate-bitset matrix and the bipartite
+// matcher. One Scratch per goroutine makes the Monte Carlo yield trial loop
+// allocation-free in steady state. The zero value is ready; a Scratch must
+// not be shared between goroutines.
 type Scratch struct {
-	occupant, place, free []int
-	usable, assignment    []int
-	forbidden             [][]bool
-	forbiddenCells        []bool
-	solver                munkres.Solver
+	occupant, place     []int
+	allRows, assignment []int
+	match               matcher
 	// cand holds one candidate bitset per FM row (bit t = FM row fits CM
 	// row t), built by the batched matching kernel; freeMask tracks the
-	// unoccupied CM rows during HBA's greedy phase.
+	// unoccupied CM rows during HBA's greedy phase and is the all-rows
+	// availability mask of EA's matching.
 	cand     bitmat.Matrix
 	freeMask bitmat.Row
 	// candMap/candLayout/candVersion identify the (defect map, layout,
@@ -239,23 +243,6 @@ func (s *Scratch) patchCandidates(p *Problem, dirty bitmat.Row) {
 	}
 }
 
-// boolMatrix returns a rows × cols matrix over the scratch backing store;
-// callers overwrite every cell.
-func (s *Scratch) boolMatrix(rows, cols int) [][]bool {
-	if cap(s.forbidden) < rows {
-		s.forbidden = make([][]bool, rows)
-	}
-	f := s.forbidden[:rows]
-	if cap(s.forbiddenCells) < rows*cols {
-		s.forbiddenCells = make([]bool, rows*cols)
-	}
-	cells := s.forbiddenCells[:rows*cols]
-	for i := range f {
-		f[i] = cells[i*cols : (i+1)*cols]
-	}
-	return f
-}
-
 // ColumnFeasible reports whether every column the layout actually uses is
 // free of stuck-at-closed defects. A closed device poisons its entire
 // vertical line, and columns cannot be re-routed, so a used poisoned column
@@ -328,15 +315,17 @@ func NaiveScratch(p *Problem, s *Scratch) Result {
 	return Result{Valid: true, Assignment: assignment, Stats: stats}
 }
 
-// Exact is the paper's EA: it builds the full matching matrix between every
-// FM row and every usable CM row and runs Munkres' assignment; a zero-cost
-// complete assignment is a valid mapping. EA is exact: if any valid row
-// assignment exists, it finds one.
+// Exact is the paper's EA: it solves the full assignment of every FM row
+// to a distinct compatible CM row — the paper runs Munkres' method on the
+// matching matrix of Fig. 8(c); here it is bipartite matching on the
+// candidate bitsets, which has a solution exactly when a zero-cost Munkres
+// assignment does. EA is exact: if any valid row assignment exists, it
+// finds one.
 func Exact(p *Problem) Result { return ExactScratch(p, nil) }
 
 // ExactScratch is Exact with reusable working storage (nil behaves like
-// Exact). The matching matrix is read off the batched candidate bitsets —
-// one kernel pass per FM row — instead of re-testing pairs.
+// Exact). The matching reads the batched candidate bitsets — one kernel
+// pass per FM row — instead of re-testing pairs.
 func ExactScratch(p *Problem, s *Scratch) Result {
 	if s == nil {
 		s = &Scratch{}
@@ -346,48 +335,33 @@ func ExactScratch(p *Problem, s *Scratch) Result {
 		return Result{Reason: reasonPoisonedColumn, Stats: stats}
 	}
 	nFM, nCM := p.Layout.Rows, p.Defects.Rows
-	// Prune unusable (stuck-closed) CM rows once up front: a poisoned row
-	// matches no FM row, so carrying it only inflates the Munkres matrix. On
-	// instances without closed defects this is a no-op and the assignment is
-	// identical to the unpruned formulation.
-	usable := growInts(&s.usable, 0)
-	for t := 0; t < nCM; t++ {
-		if !p.Defects.RowHasClosed(t) {
-			usable = append(usable, t)
-		}
-	}
-	s.usable = usable
-	if len(usable) < nFM {
+	// A stuck-closed CM row matches no FM row (the candidate bitsets
+	// already exclude it), so fewer usable rows than FM rows fails before
+	// the kernel runs.
+	if nCM-bitmat.PopCount(p.Defects.ClosedRows()) < nFM {
 		return Result{Reason: reasonRowShortage, Stats: stats}
 	}
 	s.computeCandidates(p, &stats)
-	forbidden := s.boolMatrix(nFM, len(usable))
-	for i := 0; i < nFM; i++ {
-		cand := s.cand.Row(i)
-		row := forbidden[i]
-		for k, t := range usable {
-			row[k] = !cand.Get(t)
-		}
+	rows := growInts(&s.allRows, nFM)
+	for i := range rows {
+		rows[i] = i
 	}
-	assign, ok, err := s.solver.SolveBinary(forbidden)
-	if err != nil {
-		return Result{Reason: err.Error(), Stats: stats}
-	}
-	if !ok {
+	avail := growRow(&s.freeMask, nCM)
+	avail.Fill(nCM)
+	place := growInts(&s.place, nFM)
+	if !s.match.match(&s.cand, rows, avail, place) {
 		return Result{Reason: reasonNoAssignment, Stats: stats}
 	}
-	out := growInts(&s.place, nFM)
-	for i, k := range assign {
-		out[i] = usable[k]
-	}
-	return Result{Valid: true, Assignment: out, Stats: stats}
+	return Result{Valid: true, Assignment: place, Stats: stats}
 }
 
 // HBA is the paper's hybrid algorithm (Algorithm 1): a greedy top-to-bottom
 // heuristic with single-level backtracking places the product (minterm)
-// rows, then Munkres' algorithm assigns the output rows — the critical
+// rows, then an exact assignment places the output rows — the critical
 // resource, since a single defect can discard a whole output — onto the
-// remaining crossbar rows.
+// remaining crossbar rows. The paper uses Munkres' method for that step;
+// here it is the same bipartite matching as Exact, restricted to the CM
+// rows the products left free.
 func HBA(p *Problem) Result { return HBAScratch(p, nil) }
 
 // HBAScratch is HBA with reusable working storage (nil behaves like HBA).
@@ -452,31 +426,11 @@ func HBAScratch(p *Problem, s *Scratch) Result {
 	}
 
 	// Exact assignment of the output rows onto the unmatched CM rows.
-	free := growInts(&s.free, 0)
-	for t := freeBits.NextSet(0); t >= 0; t = freeBits.NextSet(t + 1) {
-		free = append(free, t)
-	}
-	s.free = free
-	if len(free) < len(outputs) {
+	if bitmat.PopCount(freeBits) < len(outputs) {
 		return Result{Reason: reasonOutputShortage, Stats: stats}
 	}
-	forbidden := s.boolMatrix(len(outputs), len(free))
-	for k, i := range outputs {
-		cand := s.cand.Row(i)
-		row := forbidden[k]
-		for u, t := range free {
-			row[u] = !cand.Get(t)
-		}
-	}
-	assign, ok, err := s.solver.SolveBinary(forbidden)
-	if err != nil {
-		return Result{Reason: err.Error(), Stats: stats}
-	}
-	if !ok {
+	if !s.match.match(&s.cand, outputs, freeBits, place) {
 		return Result{Reason: reasonOutputsBlocked, Stats: stats}
-	}
-	for k, i := range outputs {
-		place[i] = free[assign[k]]
 	}
 	return Result{Valid: true, Assignment: place, Stats: stats}
 }

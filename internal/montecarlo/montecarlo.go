@@ -31,6 +31,11 @@ type Outcome struct {
 	Elapsed time.Duration
 	// Value carries an experiment-specific measurement (e.g. area).
 	Value float64
+	// Err marks a trial that could not run at all — an invalid defect rate,
+	// a fabric smaller than the layout — as opposed to one that ran and
+	// failed. RunFactory returns the first such error in sample order
+	// instead of a Summary, so a bad input never reads as a low Psucc.
+	Err error
 }
 
 // Trial runs one sample. The rng is derived deterministically from the
@@ -121,6 +126,11 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 		}); err != nil {
 			return Summary{}, err
 		}
+		for _, o := range outcomes {
+			if o.Err != nil {
+				return Summary{}, o.Err
+			}
+		}
 	} else {
 		// One rng for the whole serial batch, reseeded per sample exactly
 		// like the parallel workers' — bit-identical outcomes, no per-trial
@@ -150,8 +160,9 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 }
 
 // runSerial is the serial batch loop: reseed, run, record, once per
-// sample. It is the hot loop of every non-parallel experiment, so it is
-// pinned allocation-free; per-trial cost is the trial's own.
+// sample, stopping at the first trial that reports an Err. It is the hot
+// loop of every non-parallel experiment, so it is pinned allocation-free;
+// per-trial cost is the trial's own.
 //
 //xbar:hotpath
 func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) error {
@@ -163,6 +174,9 @@ func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) err
 			}
 		}
 		runSample(opt.Seed, i, rng, trial, outcomes)
+		if err := outcomes[i].Err; err != nil {
+			return err
+		}
 	}
 	return nil
 }

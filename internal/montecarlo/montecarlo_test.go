@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,6 +42,23 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(Options{Samples: -1}, func(i int, rng *rand.Rand) Outcome { return Outcome{} }); err == nil {
 		t.Error("negative samples must fail")
+	}
+}
+
+// TestRunTrialErrorFailsBatch: a trial reporting Err fails the whole batch
+// with the first such error in sample order, serial or parallel, instead
+// of counting as a failed sample.
+func TestRunTrialErrorFailsBatch(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		_, err := Run(Options{Samples: 20, Parallel: parallel, Workers: 3}, func(i int, rng *rand.Rand) Outcome {
+			if i >= 5 {
+				return Outcome{Err: fmt.Errorf("sample %d", i)}
+			}
+			return Outcome{Success: true}
+		})
+		if err == nil || err.Error() != "sample 5" {
+			t.Errorf("parallel=%v: err = %v, want sample 5", parallel, err)
+		}
 	}
 }
 

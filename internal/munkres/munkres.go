@@ -5,6 +5,10 @@
 // The paper uses it in two places: the exact algorithm (EA) assigns every
 // function-matrix row to a crossbar row, and the hybrid algorithm (HBA)
 // assigns only the output rows after the heuristic has placed the products.
+// internal/mapping answers the same question — does a complete zero-cost
+// assignment exist? — with bipartite matching on its candidate bitsets, so
+// no production code imports this package: it is the reference oracle the
+// mapping tests check that matcher and the pre-refactor algorithms against.
 package munkres
 
 import (

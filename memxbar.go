@@ -12,7 +12,9 @@
 //     multi-level connection columns.
 //   - Defect tolerance: stuck-at-open / stuck-at-closed defect maps, and
 //     the paper's mapping algorithms — the hybrid HBA (greedy with
-//     backtracking plus Munkres on the output rows) and the exact EA.
+//     backtracking plus an exact assignment of the output rows) and the
+//     exact EA, both solving the assignment by bipartite matching where the
+//     paper uses Munkres' method.
 //   - A functional Snider-logic simulator that runs any design, mapped or
 //     not, defective or not, through the controller state machine.
 //
@@ -281,8 +283,9 @@ const (
 	// HBA is the paper's hybrid algorithm (Algorithm 1): heuristic product
 	// placement plus exact output assignment. Fast, near-exact.
 	HBA Algorithm = iota
-	// Exact is the paper's EA: full Munkres assignment. Finds a mapping
-	// whenever one exists.
+	// Exact is the paper's EA: an exact assignment of every row, solved
+	// by bipartite matching (the paper uses Munkres' method). Finds a
+	// mapping whenever one exists.
 	Exact
 	// Naive ignores defects (the Fig. 7a baseline).
 	Naive
