@@ -2,8 +2,7 @@
 // batch HTTP service.
 //
 //	xbarserver -addr :8080 -workers 0 -cache 1024 -timeout 30s \
-//	    -journal-dir /var/lib/xbarserver/journal \
-//	    -cache-file /var/lib/xbarserver/cache.json -max-queued-jobs 8192
+//	    -journal-dir /var/lib/xbarserver/journal -max-queued-jobs 8192
 //
 // API:
 //
@@ -45,9 +44,10 @@
 // through the engine's result cache. With -journal-dir every finished
 // result is group-committed to a segmented write-ahead log before it is
 // published, so a server killed at any point restarts with everything it
-// ever acknowledged; -cache-file remains available as a faster-to-load
-// warm-start checkpoint. A second instance started with -follow=<peer-url>
-// warm-starts from the peer's journal and continuously mirrors its results.
+// ever acknowledged; the journal is the server's only durable state, and
+// without it the cache starts empty. A second instance started with
+// -follow=<peer-url> warm-starts from the peer's journal and continuously
+// mirrors its results.
 //
 // With -cluster-self and -cluster-peers the member joins lease-based
 // leader election on the journal: followers mirror the leader and
@@ -77,8 +77,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "result cache entries (negative disables)")
-	cacheFile := flag.String("cache-file", "", "persist the result cache to this snapshot file (warm-start checkpoint; with -journal-dir the journal remains the source of truth)")
-	persistEvery := flag.Duration("persist-interval", 0, "cache snapshot period with -cache-file (0 = 30s, negative = only at shutdown)")
 	journalDir := flag.String("journal-dir", "", "durable job journal directory: group-committed WAL of finished results, replayed at startup")
 	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold in bytes (0 = 4 MiB)")
 	journalCompactEvery := flag.Duration("journal-compact-interval", 0, "journal compaction period (0 = 5m, negative disables)")
@@ -119,8 +117,6 @@ func main() {
 	e := engine.New(engine.Options{
 		Workers:                *workers,
 		CacheSize:              *cacheSize,
-		CacheFile:              *cacheFile,
-		CachePersistInterval:   *persistEvery,
 		JournalDir:             *journalDir,
 		JournalSegmentBytes:    *journalSegBytes,
 		JournalCompactInterval: *journalCompactEvery,
@@ -162,7 +158,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	slog.Info("xbarserver listening", "component", "xbarserver", "addr", *addr,
 		"workers", *workers, "cache", *cacheSize, "journal_dir", *journalDir,
-		"cache_file", *cacheFile, "follow", *follow)
+		"follow", *follow)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -185,15 +181,15 @@ func main() {
 		// the engine drain gets whatever the HTTP drain left, so an
 		// operator can size an external kill timer to the flag. A stuck
 		// batch still cannot hang exit — the journal is flushed and closed
-		// (and the snapshot written) even when the drain is abandoned.
+		// even when the drain is abandoned.
 		bound := time.Duration(0) // wait forever when unbounded
 		if !deadline.IsZero() {
 			bound = max(time.Until(deadline), time.Millisecond)
 		}
 		e.CloseTimeout(bound)
 	case err := <-errCh:
-		// Release the workers and write the final cache snapshot on the
-		// server-error path too, not just on signal-driven shutdown.
+		// Release the workers and close the journal on the server-error
+		// path too, not just on signal-driven shutdown.
 		e.CloseTimeout(*shutdownTimeout)
 		if !errors.Is(err, http.ErrServerClosed) {
 			slog.Error("server failed", "component", "xbarserver", "err", err)

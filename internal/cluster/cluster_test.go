@@ -36,17 +36,32 @@ func TestRingPrefsDeterministicAndComplete(t *testing.T) {
 }
 
 func TestRingDistributionRoughlyBalanced(t *testing.T) {
-	members := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := NewRing(members, 128)
-	counts := map[string]int{}
-	const n = 8000
-	for i := 0; i < n; i++ {
-		counts[r.Owner([]byte(fmt.Sprintf("spec-hash-%d", i)))]++
-	}
-	for m, c := range counts {
-		frac := float64(c) / n
-		if frac < 0.10 || frac > 0.45 {
-			t.Fatalf("member %s owns %.1f%% of keys — ring badly unbalanced: %v", m, 100*frac, counts)
+	for _, tc := range []struct {
+		members []string
+		vnodes  int
+		lo, hi  float64
+	}{
+		{[]string{"http://a", "http://b", "http://c", "http://d"}, 128, 0.10, 0.45},
+		// Fleets whose names differ only in a trailing port digit, like
+		// the cluster-smoke CI fleet, at the gateway's default vnodes.
+		{[]string{"http://localhost:8081", "http://localhost:8082", "http://localhost:8083"}, 0, 0.25, 0.42},
+		{[]string{"http://localhost:8081", "http://localhost:8082"}, 0, 0.40, 0.60},
+	} {
+		r := NewRing(tc.members, tc.vnodes)
+		counts := map[string]int{}
+		const n = 8000
+		for i := 0; i < n; i++ {
+			counts[r.Owner([]byte(fmt.Sprintf("spec-hash-%d", i)))]++
+		}
+		if len(counts) != len(tc.members) {
+			t.Fatalf("%v: only %d members own keys: %v", tc.members, len(counts), counts)
+		}
+		for m, c := range counts {
+			frac := float64(c) / n
+			if frac < tc.lo || frac > tc.hi {
+				t.Errorf("member %s owns %.1f%% of keys, want [%.0f%%, %.0f%%] — ring badly unbalanced: %v",
+					m, 100*frac, 100*tc.lo, 100*tc.hi, counts)
+			}
 		}
 	}
 }

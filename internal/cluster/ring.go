@@ -104,11 +104,18 @@ func (r *Ring) Prefs(key []byte) []string {
 }
 
 // HashKey maps an opaque key (the engine's canonical spec hash) onto the
-// ring's 64-bit hash space.
+// ring's 64-bit hash space: FNV-64a finished with the splitmix64
+// finalizer. Bare FNV-64a keeps inputs that differ only in their trailing
+// bytes — the ring points "url#0".."url#63", member URLs one port apart —
+// clustered on the ring, so a few members owned most keys; the finalizer's
+// avalanche spreads them.
 func HashKey(key []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(key)
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func hashString(s string) uint64 { return HashKey([]byte(s)) }

@@ -94,21 +94,6 @@ func (c *resultCache) Put(key string, val JobResult) {
 	}
 }
 
-// Snapshot copies every entry, oldest-first within each shard, so a
-// restore that Puts entries in snapshot order reproduces the LRU order.
-func (c *resultCache) Snapshot() []cacheEntry {
-	var out []cacheEntry
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for el := s.ll.Back(); el != nil; el = el.Prev() {
-			en := el.Value.(*cacheEntry)
-			out = append(out, cacheEntry{key: en.key, val: en.val})
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // Len reports the total entry count across shards.
 func (c *resultCache) Len() int {
 	n := 0

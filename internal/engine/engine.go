@@ -15,13 +15,13 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
 	"repro/internal/trace"
-	"repro/internal/workpool"
 )
 
 // Options tunes an engine.
@@ -43,16 +43,6 @@ type Options struct {
 	// service; the oldest finished jobs are evicted first. Zero means
 	// 16384.
 	StatusLimit int
-	// CacheFile, when non-empty, makes the result cache persistent: the
-	// snapshot is loaded at New (warm start), written every
-	// CachePersistInterval while the engine runs, and written a final time
-	// at Close. Keys are the canonical spec hashes, so a reloaded cache
-	// answers exactly the jobs it would have answered before the restart.
-	CacheFile string
-	// CachePersistInterval is the background snapshot period when CacheFile
-	// is set: zero means DefaultCachePersistInterval, negative disables the
-	// background loop (the cache is still saved at Close).
-	CachePersistInterval time.Duration
 	// MaxQueuedJobs bounds jobs admitted but not yet finished across all
 	// batches; Submit fails with ErrOverloaded (retryable) beyond it, and
 	// with ErrBatchTooLarge (not retryable) for a single batch bigger than
@@ -65,9 +55,9 @@ type Options struct {
 	// segmented write-ahead log under this directory: every cache insert
 	// is group-committed to the journal before the result is published,
 	// New recovers by replaying the journal (tolerating a torn final
-	// record), and the log is compacted in the background. With a journal
-	// the CacheFile snapshot is just a warm-start checkpoint, not the
-	// source of truth.
+	// record), and the log is compacted in the background. The journal is
+	// the engine's only durable state: without it the result cache lives
+	// in memory and starts empty.
 	JournalDir string
 	// JournalSegmentBytes rotates journal segments past this size; zero
 	// means the journal package default (4 MiB).
@@ -77,8 +67,9 @@ type Options struct {
 	// compaction.
 	JournalCompactInterval time.Duration
 	// JournalMaxAge drops journal records older than this at compaction;
-	// zero keeps all. Results evicted this way survive only in the cache
-	// snapshot (if configured) until the process restarts.
+	// zero keeps all. Results dropped this way stay in the in-memory cache
+	// until it evicts them or the process restarts, and a restart does not
+	// restore them.
 	JournalMaxAge time.Duration
 	// JournalMaxRecords keeps only the newest this-many live journal
 	// records at compaction; zero keeps all.
@@ -218,9 +209,6 @@ type Engine struct {
 	openBatches int // batches submitted but not fully finished
 	queuedJobs  int // jobs admitted but not yet finished
 
-	persistStop chan struct{}
-	persistWG   sync.WaitGroup
-
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
 
@@ -289,7 +277,7 @@ func (t *task) traceID() string {
 // New starts an engine. Callers must Close it to release the workers.
 func New(opt Options) *Engine {
 	if opt.Workers <= 0 {
-		opt.Workers = workpool.DefaultWorkers()
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opt.StatusLimit <= 0 {
 		opt.StatusLimit = 16384
@@ -308,21 +296,6 @@ func New(opt Options) *Engine {
 	if opt.CacheSize >= 0 {
 		e.cache = newResultCache(opt.CacheSize, opt.CacheShards)
 	}
-	if e.cache != nil && opt.CacheFile != "" {
-		e.loadCacheFile()
-		interval := opt.CachePersistInterval
-		if interval == 0 {
-			interval = DefaultCachePersistInterval
-		}
-		if interval > 0 {
-			e.persistStop = make(chan struct{})
-			e.persistWG.Add(1)
-			go e.persistLoop(interval)
-		}
-	}
-	// The journal replays after the snapshot load: its records are newer
-	// than any checkpoint, and bit-identical replays make the overlay
-	// idempotent where they overlap.
 	if e.cache != nil && opt.JournalDir != "" {
 		e.openJournal()
 	}
@@ -540,16 +513,15 @@ func (e *Engine) Ready() error {
 }
 
 // Close stops accepting work, waits for queued jobs to drain, releases the
-// workers, flushes and closes the journal, and — when Options.CacheFile is
-// set — writes a final cache snapshot. Safe to call more than once. Use
-// CloseTimeout when a stuck job must not be allowed to hang process exit.
+// workers, and flushes and closes the journal. Safe to call more than
+// once. Use CloseTimeout when a stuck job must not be allowed to hang
+// process exit.
 func (e *Engine) Close() { e.CloseTimeout(0) }
 
 // CloseTimeout is Close with a bound on the drain: when the queued jobs
 // have not finished within d (zero means wait forever), the remaining work
-// is abandoned — the journal is still flushed and closed and the final
-// cache snapshot still written, so every result computed before the
-// timeout stays durable. Safe to call more than once.
+// is abandoned — the journal is still flushed and closed, so every result
+// journaled before the timeout stays durable. Safe to call more than once.
 func (e *Engine) CloseTimeout(d time.Duration) {
 	e.mu.Lock()
 	if e.closed {
@@ -580,10 +552,6 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 	} else {
 		<-drained
 	}
-	if e.persistStop != nil {
-		close(e.persistStop)
-		e.persistWG.Wait()
-	}
 	if e.compactStop != nil {
 		close(e.compactStop)
 		e.compactWG.Wait()
@@ -595,9 +563,6 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 		if err := e.journal.Close(); err != nil {
 			log.Printf("engine: closing journal: %v", err)
 		}
-	}
-	if err := e.saveCacheFile(); err != nil {
-		log.Printf("engine: saving cache at close: %v", err)
 	}
 }
 

@@ -15,18 +15,14 @@ import (
 const DefaultJournalCompactInterval = 5 * time.Minute
 
 // openJournal opens (and recovers) the durable job journal and replays it
-// into the result cache. The journal is the source of truth for finished
-// results: every cache insert appends to it before the result is
-// published, so a process killed at any point — even one that never wrote
-// a -cache-file snapshot — warm-starts with every result it ever
-// acknowledged. The snapshot, when also configured, is just a compaction
-// checkpoint that the journal replay then overlays (journal records are
-// newer, and replays are bit-identical, so the overlay is idempotent).
+// into the result cache. The journal is the engine's only durable state:
+// every cache insert appends to it before the result is published, so a
+// process killed at any point warm-starts with every result it ever
+// acknowledged that compaction's retention limits still keep.
 //
-// A journal that cannot be opened is fatal for durability, but following
-// the engine's log-and-degrade convention for persistence (see
-// loadCacheFile) it is logged and the engine runs without one rather than
-// taking the service down.
+// A journal that cannot be opened is fatal for durability, but it is
+// logged and the engine runs in memory rather than taking the service
+// down.
 func (e *Engine) openJournal() {
 	j, err := journal.Open(e.opt.JournalDir, journal.Options{
 		SegmentBytes: e.opt.JournalSegmentBytes,
@@ -105,9 +101,9 @@ func (e *Engine) journalAppend(key string, r JobResult) {
 	}
 }
 
-// canonicalResult strips per-lookup identity and hit metadata so persisted
-// results (journal records, snapshots) are keyed purely by spec hash; the
-// serving path reassigns them per request.
+// canonicalResult strips per-lookup identity and hit metadata so journal
+// records are keyed purely by spec hash; the serving path reassigns them
+// per request.
 func canonicalResult(r JobResult) JobResult {
 	r.ID, r.CacheHit = "", false
 	return r

@@ -32,11 +32,10 @@ func samePayload(a, b JobResult) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestJournalKillRestart64 is the PR's kill-and-restart acceptance check:
-// a server that computed a 64-job batch and was killed WITHOUT ever
-// writing a cache snapshot (no CacheFile configured, no orderly
-// snapshotting) must, restarted on the same journal directory, answer the
-// same batch entirely from cache with bit-identical results.
+// TestJournalKillRestart64 is the kill-and-restart acceptance check: a
+// server that computed a 64-job batch must, restarted on the same
+// journal directory, answer the same batch entirely from cache with
+// bit-identical results. The journal is the engine's only durable state.
 func TestJournalKillRestart64(t *testing.T) {
 	dir := t.TempDir()
 	specs := batch64()
@@ -52,8 +51,7 @@ func TestJournalKillRestart64(t *testing.T) {
 		}
 	}
 	// Run returning means every result was journaled (appends are durable
-	// before a result is published), so a kill here loses nothing. Close
-	// writes no snapshot — there is no CacheFile.
+	// before a result is published), so a kill here loses nothing.
 	e1.Close()
 
 	e2 := New(Options{Workers: 4, JournalDir: dir})
@@ -75,50 +73,6 @@ func TestJournalKillRestart64(t *testing.T) {
 	}
 	if hits := e2.Stats().CacheHits; hits != int64(len(specs)) {
 		t.Fatalf("CacheHits = %d, want %d (whole batch from journal replay)", hits, len(specs))
-	}
-}
-
-// TestJournalOverlaysSnapshot checks the snapshot-as-checkpoint
-// relationship: results present only in the journal (computed after the
-// last snapshot) are restored alongside the snapshotted ones.
-func TestJournalOverlaysSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	cacheFile := dir + "/cache.json"
-
-	e1 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	if _, err := e1.Run(context.Background(), []JobSpec{mcSpec(1)}); err != nil {
-		t.Fatal(err)
-	}
-	e1.Close() // snapshot now holds mcSpec(1)
-
-	// Second life: compute one more job, then "crash" — Close would write
-	// a fresh snapshot, so this engine is abandoned instead. Its journal
-	// append already committed when Run returned.
-	e2 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	if _, err := e2.Run(context.Background(), []JobSpec{mcSpec(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if n := e2.Stats().CacheEntries; n != 2 {
-		t.Fatalf("second engine holds %d entries, want 2", n)
-	}
-	// Release the journal's file handles without snapshotting, simulating
-	// a kill: drop the cache file setting by closing after clearing it.
-	e2.opt.CacheFile = ""
-	e2.Close()
-
-	e3 := New(Options{Workers: 2, JournalDir: dir, CacheFile: cacheFile, CachePersistInterval: -1})
-	defer e3.Close()
-	if n := e3.Stats().CacheEntries; n != 2 {
-		t.Fatalf("restart restored %d entries, want 2 (snapshot checkpoint + journal overlay)", n)
-	}
-	res, err := e3.Run(context.Background(), []JobSpec{mcSpec(1), mcSpec(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Err != "" || !r.CacheHit {
-			t.Fatalf("job %d not served from restored cache: %+v", i, r)
-		}
 	}
 }
 
@@ -346,33 +300,56 @@ func TestCloseTimeoutBounded(t *testing.T) {
 
 // TestJournalCompactionKeepsServing checks an engine-triggered compaction
 // preserves replay: recompute-heavy histories shrink to one record per
-// spec and a restart still answers from cache.
+// spec and a restart still answers from cache. The journal is the only
+// durable state, so its retention limits decide what a restart restores:
+// with JournalMaxRecords 1 exactly one result survives.
 func TestJournalCompactionKeepsServing(t *testing.T) {
-	dir := t.TempDir()
-	e := New(Options{Workers: 2, JournalDir: dir, JournalCompactInterval: -1})
 	specs := []JobSpec{mcSpec(1), mcSpec(2), mcSpec(3)}
-	if _, err := e.Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := e.CompactJournal()
-	if !ok || err != nil {
-		t.Fatalf("CompactJournal: ok=%v err=%v", ok, err)
-	}
-	records, _ := e.journalStats()
-	if records != len(specs) {
-		t.Fatalf("journal holds %d records after compaction, want %d", records, len(specs))
-	}
-	e.Close()
-
-	e2 := New(Options{Workers: 2, JournalDir: dir, JournalCompactInterval: -1})
-	defer e2.Close()
-	res, err := e2.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Err != "" || !r.CacheHit {
-			t.Fatalf("job %d not served from compacted journal: %+v", i, r)
+	for _, tc := range []struct {
+		maxRecords int
+		want       int // records compaction keeps, and so a restart restores
+	}{
+		{0, len(specs)},
+		{1, 1},
+	} {
+		opt := Options{Workers: 2, JournalDir: t.TempDir(), JournalCompactInterval: -1,
+			JournalMaxRecords: tc.maxRecords}
+		e := New(opt)
+		if _, err := e.Run(context.Background(), specs); err != nil {
+			t.Fatal(err)
 		}
+		ok, err := e.CompactJournal()
+		if !ok || err != nil {
+			t.Fatalf("CompactJournal: ok=%v err=%v", ok, err)
+		}
+		records, _ := e.journalStats()
+		if records != tc.want {
+			t.Fatalf("max records %d: journal holds %d records after compaction, want %d",
+				tc.maxRecords, records, tc.want)
+		}
+		e.Close()
+
+		e2 := New(opt)
+		if got := e2.Stats().CacheEntries; got != tc.want {
+			t.Fatalf("max records %d: restart restored %d results, want %d", tc.maxRecords, got, tc.want)
+		}
+		res, err := e2.Run(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := 0
+		for i, r := range res {
+			if r.Err != "" {
+				t.Fatalf("job %d: %s", i, r.Err)
+			}
+			if r.CacheHit {
+				hits++
+			}
+		}
+		if hits != tc.want {
+			t.Fatalf("max records %d: %d jobs served from the compacted journal, want %d",
+				tc.maxRecords, hits, tc.want)
+		}
+		e2.Close()
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -49,6 +50,20 @@ type engineMetrics struct {
 // knownKinds is the fixed set of job kinds, used to pre-resolve per-kind
 // histogram children off the hot path.
 var knownKinds = []Kind{SynthTwoLevel, SynthMultiLevel, MapHBA, MapEA, MonteCarloYield}
+
+// kindUnknown is the kind label of every job whose kind is not in
+// knownKinds. Clients choose the kind string, so labelling by it verbatim
+// would let them mint a new series per request; they share this one
+// instead, created by With on first use.
+const kindUnknown = "unknown"
+
+// kindLabel is the metric label for a job kind.
+func kindLabel(k Kind) string {
+	if slices.Contains(knownKinds, k) {
+		return string(k)
+	}
+	return kindUnknown
+}
 
 func newEngineMetrics() *engineMetrics {
 	reg := metrics.NewRegistry()
@@ -149,7 +164,7 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met.reg }
 func (m *engineMetrics) observeQueueWait(k Kind, d time.Duration, traceID string) {
 	h, ok := m.queueWaitByKind[k]
 	if !ok {
-		h = m.queueWait.With(string(k))
+		h = m.queueWait.With(kindUnknown)
 	}
 	h.ObserveWithExemplar(d.Seconds(), traceID)
 }
@@ -157,7 +172,7 @@ func (m *engineMetrics) observeQueueWait(k Kind, d time.Duration, traceID string
 func (m *engineMetrics) observeJob(k Kind, d time.Duration, traceID string) {
 	h, ok := m.jobSecsByKind[k]
 	if !ok {
-		h = m.jobSecs.With(string(k))
+		h = m.jobSecs.With(kindUnknown)
 	}
 	h.ObserveWithExemplar(d.Seconds(), traceID)
 }
@@ -167,7 +182,7 @@ func (m *engineMetrics) countJob(k Kind, errStr string) {
 	if errStr != "" {
 		outcome = "error"
 	}
-	m.jobs.With(string(k), outcome).Inc()
+	m.jobs.With(kindLabel(k), outcome).Inc()
 }
 
 // observeHTTP records one finished request (or stream) on a route.

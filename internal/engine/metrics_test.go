@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -191,6 +193,60 @@ func TestQuotaRejectMetrics(t *testing.T) {
 	// counter must not have moved.
 	if m := regexp.MustCompile(`xbar_engine_rejects_total\{[^}]*\} [1-9]`).FindString(body); m != "" {
 		t.Errorf("engine admission rejects booked for quota rejections: %s", m)
+	}
+}
+
+// TestMetricsUnknownKindsShareOneSeries: clients choose the job kind
+// string, so kinds outside the known set must not mint metric series. A
+// batch of distinct bogus kinds lands in one kind="unknown" series per
+// kind-labelled family, and every job still fails with its own error.
+func TestMetricsUnknownKindsShareOneSeries(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	srv := httptest.NewServer(NewHTTPHandler(e))
+	defer srv.Close()
+
+	const n = 50
+	jobs := make([]string, n)
+	for i := range jobs {
+		jobs[i] = fmt.Sprintf(`{"kind":"bogus-%d"}`, i)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"jobs":[`+strings.Join(jobs, ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct {
+		JobIDs []string `json:"job_ids"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || len(sub.JobIDs) != n {
+		t.Fatalf("submit: HTTP %d, %d ids, err %v", resp.StatusCode, len(sub.JobIDs), err)
+	}
+	waitForStats(t, e, func(s Stats) bool { return s.Completed == n })
+	for _, id := range sub.JobIDs {
+		st, ok := e.Job(id)
+		if !ok || st.Result == nil || !strings.Contains(st.Result.Err, "unknown job kind") {
+			t.Fatalf("job %s: want its own unknown-kind error, got %+v", id, st)
+		}
+	}
+
+	body := scrapeMetrics(t, srv.URL)
+	if strings.Contains(body, "bogus-") {
+		t.Errorf("exposition labels series with client-chosen kinds:\n%s", body)
+	}
+	for family, series := range map[string]string{
+		"xbar_engine_queue_wait_seconds_count": `{kind="unknown"}`,
+		"xbar_engine_job_seconds_count":        `{kind="unknown"}`,
+		"xbar_engine_jobs_total":               `{kind="unknown",outcome="error"}`,
+	} {
+		if v := metricValue(t, body, family+series); v != n {
+			t.Errorf("%s%s = %v, want %d", family, series, v, n)
+		}
+		if got := strings.Count(body, "\n"+family+`{kind="unknown"`); got != 1 {
+			t.Errorf("%s has %d kind=\"unknown\" series, want 1", family, got)
+		}
 	}
 }
 

@@ -56,9 +56,8 @@ func ClosedTolerance(circuit string, closedRates []float64, sparePairs, spareRow
 			OutputPairs: base.OutputPairs + sp,
 		}
 		for _, rate := range closedRates {
-			// fixed/col are summed by the trials; this study runs serially
-			// (no Parallel option), and the scratch state lives in the
-			// factory so a future parallel switch gets one set per worker.
+			// fixed/col are summed by the trials without a lock: a
+			// montecarlo batch runs its trials serially on this goroutine.
 			// Everything the trial touches — defect map, fixed-wiring
 			// projection, row scratch, column scratch — is preallocated
 			// here and reused, so the trial loop is allocation-free in
@@ -68,7 +67,7 @@ func ClosedTolerance(circuit string, closedRates []float64, sparePairs, spareRow
 				func() montecarlo.Trial {
 					dm := defect.NewMap(l.Rows+sr, spec.Cols())
 					// Fixed wiring: the design occupies the leading columns
-					// of each block (trial-invariant, built once per worker).
+					// of each block (trial-invariant, built once per batch).
 					fixedAssign := identityAssignment(l, base)
 					fdm := defect.NewMap(dm.Rows, l.Cols)
 					fixedProblem, fpErr := mapping.NewProblem(l, fdm)

@@ -138,11 +138,10 @@ func TestTable2InvalidRateFails(t *testing.T) {
 	want := jobRateErr(t, e, -0.2, 0)
 	for _, opt := range []Table2Options{
 		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}},
-		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}, Parallel: true},
 		{Samples: 5, DefectRate: -0.2, Only: []string{"rd53"}, Engine: e},
 	} {
 		_, err := Table2(opt)
-		wantRateErr(t, fmt.Sprintf("Table2 (parallel=%v, engine=%v)", opt.Parallel, opt.Engine != nil), err, want)
+		wantRateErr(t, fmt.Sprintf("Table2 (engine=%v)", opt.Engine != nil), err, want)
 	}
 }
 

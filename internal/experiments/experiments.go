@@ -239,8 +239,6 @@ type Table2Options struct {
 	Seed int64
 	// Only restricts the run to the named circuits (nil = all).
 	Only []string
-	// Parallel distributes samples across cores.
-	Parallel bool
 	// Engine, when set, routes the study through the compilation engine:
 	// every (circuit, algorithm) Monte Carlo batch becomes one job and
 	// the rows fill in parallel across cores. Psucc columns are identical
@@ -370,7 +368,7 @@ var (
 )
 
 // yieldTrialFactory builds the Monte Carlo trial shared by the mapping
-// studies: per worker, one preallocated defect map regenerated in place per
+// studies: per batch, one preallocated defect map regenerated in place per
 // trial plus mapping scratch buffers, so the steady-state trial loop is
 // allocation-free. Results are bit-identical to generating a fresh map per
 // trial because Regenerate consumes the rng exactly like Generate. A trial
@@ -417,9 +415,8 @@ func table2One(c suite.Circuit, opt Table2Options) (Table2Row, error) {
 	}
 	run := func(algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) (AlgoStats, error) {
 		summary, err := montecarlo.RunFactory(montecarlo.Options{
-			Samples:  opt.Samples,
-			Seed:     opt.Seed + int64(len(c.Name)),
-			Parallel: opt.Parallel,
+			Samples: opt.Samples,
+			Seed:    opt.Seed + int64(len(c.Name)),
 		}, yieldTrialFactory(l, 0, defect.Params{POpen: opt.DefectRate}, algo))
 		if err != nil {
 			return AlgoStats{}, err

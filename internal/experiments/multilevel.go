@@ -43,7 +43,6 @@ type MLOptions struct {
 	// very large profiles are excluded because random dense covers factor
 	// into very wide multi-level layouts).
 	Circuits []string
-	Parallel bool
 	// Engine, when set, routes the Monte Carlo batches through the
 	// compilation engine (one job per circuit and algorithm), with Psucc
 	// identical to the serial path.
@@ -106,7 +105,7 @@ func MultiLevelMapping(opt MLOptions) ([]MLRow, error) {
 		var err error
 		run := func(algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) (AlgoStats, error) {
 			summary, err := montecarlo.RunFactory(montecarlo.Options{
-				Samples: opt.Samples, Seed: opt.Seed + int64(len(name)), Parallel: opt.Parallel,
+				Samples: opt.Samples, Seed: opt.Seed + int64(len(name)),
 			}, yieldTrialFactory(l, 0, defect.Params{POpen: opt.DefectRate}, algo))
 			if err != nil {
 				return AlgoStats{}, err

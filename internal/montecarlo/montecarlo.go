@@ -3,11 +3,11 @@
 // of parameter values stabilize nearly after this threshold value") with
 // per-sample derived random seeds, success-rate accounting, and timing.
 //
-// Parallel runs go through the shared internal/workpool pool: each worker
-// goroutine owns a private *rand.Rand that is reseeded deterministically for
-// every sample it claims, so no random state is ever shared between
-// goroutines and a batch produces bit-identical Values regardless of worker
-// count, scheduling order, or whether it ran serially.
+// A batch runs serially on the calling goroutine: one *rand.Rand is
+// reseeded from (Seed, sample index) before every trial, so a sample's
+// outcome depends on nothing but those two values. Studies that want many
+// cores run many batches at once through the compilation engine, one batch
+// per job, and get bit-identical Values.
 package montecarlo
 
 import (
@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/workpool"
 )
 
 // DefaultSamples is the paper's Monte Carlo sample size.
@@ -43,12 +41,9 @@ type Outcome struct {
 // independent.
 type Trial func(sample int, rng *rand.Rand) Outcome
 
-// TrialFactory builds one Trial per worker goroutine (one total for serial
-// runs), so a trial can own private scratch state — preallocated defect
-// maps, mapping buffers — that is reused across the samples that worker
-// claims. Because per-sample randomness is derived from the harness seed
-// and sample index alone, results are identical no matter how samples are
-// spread over workers.
+// TrialFactory builds the Trial for one batch, so a trial can own private
+// scratch state — preallocated defect maps, mapping buffers — that is
+// reused across the batch's samples.
 type TrialFactory func() Trial
 
 // Summary aggregates a batch.
@@ -67,13 +62,6 @@ type Options struct {
 	Samples int
 	// Seed drives the per-sample rngs.
 	Seed int64
-	// Parallel runs trials across Workers goroutines. Determinism is
-	// preserved because each sample's rng state is derived from Seed and
-	// the sample index alone.
-	Parallel bool
-	// Workers bounds the parallel pool; zero means GOMAXPROCS. Ignored
-	// unless Parallel is set.
-	Workers int
 	// Context cancels the batch early; remaining samples are skipped and
 	// Run returns the context error. Nil means no cancellation.
 	Context context.Context
@@ -87,9 +75,9 @@ func Run(opt Options, trial Trial) (Summary, error) {
 	return RunFactory(opt, func() Trial { return trial })
 }
 
-// RunFactory executes the batch with one Trial per worker built by the
-// factory, enabling per-worker scratch state. Run is RunFactory with a
-// factory that shares one Trial everywhere.
+// RunFactory executes the batch with the Trial the factory builds, enabling
+// per-batch scratch state. Run is RunFactory with a factory that returns
+// the given Trial.
 func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 	if factory == nil {
 		return Summary{}, fmt.Errorf("montecarlo: nil trial factory")
@@ -101,48 +89,16 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 	if n < 0 {
 		return Summary{}, fmt.Errorf("montecarlo: negative sample count %d", n)
 	}
+	trial := factory()
+	if trial == nil {
+		return Summary{}, fmt.Errorf("montecarlo: factory returned nil trial")
+	}
+	// One rng for the whole batch, reseeded per sample: no per-trial
+	// source allocation.
+	rng := rand.New(rand.NewSource(0))
 	outcomes := make([]Outcome, n)
-	if opt.Parallel {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = workpool.DefaultWorkers()
-		}
-		if workers > n {
-			workers = n
-		}
-		// One private rng and trial per worker: the rng is reseeded from
-		// (Seed, sample) before each trial, so results do not depend on
-		// which worker claims which sample.
-		rngs := make([]*rand.Rand, workers)
-		trials := make([]Trial, workers)
-		for w := range rngs {
-			rngs[w] = rand.New(rand.NewSource(0))
-			if trials[w] = factory(); trials[w] == nil {
-				return Summary{}, fmt.Errorf("montecarlo: factory returned nil trial")
-			}
-		}
-		if err := workpool.Run(opt.Context, workers, n, func(w, i int) {
-			runSample(opt.Seed, i, rngs[w], trials[w], outcomes)
-		}); err != nil {
-			return Summary{}, err
-		}
-		for _, o := range outcomes {
-			if o.Err != nil {
-				return Summary{}, o.Err
-			}
-		}
-	} else {
-		// One rng for the whole serial batch, reseeded per sample exactly
-		// like the parallel workers' — bit-identical outcomes, no per-trial
-		// source allocation.
-		trial := factory()
-		if trial == nil {
-			return Summary{}, fmt.Errorf("montecarlo: factory returned nil trial")
-		}
-		rng := rand.New(rand.NewSource(0))
-		if err := runSerial(opt, trial, rng, outcomes); err != nil {
-			return Summary{}, err
-		}
+	if err := runSerial(opt, trial, rng, outcomes); err != nil {
+		return Summary{}, err
 	}
 	s := Summary{Samples: n, Values: make([]float64, n)}
 	for i, o := range outcomes {
@@ -159,10 +115,10 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 	return s, nil
 }
 
-// runSerial is the serial batch loop: reseed, run, record, once per
-// sample, stopping at the first trial that reports an Err. It is the hot
-// loop of every non-parallel experiment, so it is pinned allocation-free;
-// per-trial cost is the trial's own.
+// runSerial is the batch loop: reseed, run, record, once per sample,
+// stopping at the first trial that reports an Err. It is the hot loop of
+// every Monte Carlo experiment, so it is pinned allocation-free; per-trial
+// cost is the trial's own.
 //
 //xbar:hotpath
 func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) error {
@@ -173,23 +129,14 @@ func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) err
 				return err
 			}
 		}
-		runSample(opt.Seed, i, rng, trial, outcomes)
+		rng.Seed(SampleSeed(opt.Seed, i))
+		//xbar:allow hotpath-alloc the trial callback is the experiment body; its own hot paths carry their own annotations
+		outcomes[i] = trial(i, rng)
 		if err := outcomes[i].Err; err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// runSample reseeds the (worker-private) rng for sample i and runs the
-// trial: the shared per-sample step of the serial and parallel paths, which
-// is what makes their outcomes bit-identical.
-//
-//xbar:hotpath
-func runSample(seed int64, i int, rng *rand.Rand, trial Trial, outcomes []Outcome) {
-	rng.Seed(SampleSeed(seed, i))
-	//xbar:allow hotpath-alloc the trial callback is the experiment body; its own hot paths carry their own annotations
-	outcomes[i] = trial(i, rng)
 }
 
 // SampleSeed derives the per-sample rng seed from the harness seed — the

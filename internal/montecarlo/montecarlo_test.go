@@ -46,25 +46,23 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunTrialErrorFailsBatch: a trial reporting Err fails the whole batch
-// with the first such error in sample order, serial or parallel, instead
-// of counting as a failed sample.
+// with the first such error in sample order instead of counting as a
+// failed sample.
 func TestRunTrialErrorFailsBatch(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		_, err := Run(Options{Samples: 20, Parallel: parallel, Workers: 3}, func(i int, rng *rand.Rand) Outcome {
-			if i >= 5 {
-				return Outcome{Err: fmt.Errorf("sample %d", i)}
-			}
-			return Outcome{Success: true}
-		})
-		if err == nil || err.Error() != "sample 5" {
-			t.Errorf("parallel=%v: err = %v, want sample 5", parallel, err)
+	_, err := Run(Options{Samples: 20}, func(i int, rng *rand.Rand) Outcome {
+		if i >= 5 {
+			return Outcome{Err: fmt.Errorf("sample %d", i)}
 		}
+		return Outcome{Success: true}
+	})
+	if err == nil || err.Error() != "sample 5" {
+		t.Errorf("err = %v, want sample 5", err)
 	}
 }
 
 func TestRunDeterministicRNG(t *testing.T) {
-	collect := func(parallel bool) []float64 {
-		s, err := Run(Options{Samples: 50, Seed: 42, Parallel: parallel},
+	collect := func() []float64 {
+		s, err := Run(Options{Samples: 50, Seed: 42},
 			func(i int, rng *rand.Rand) Outcome {
 				return Outcome{Value: rng.Float64()}
 			})
@@ -73,14 +71,8 @@ func TestRunDeterministicRNG(t *testing.T) {
 		}
 		return s.Values
 	}
-	seq := collect(false)
-	par := collect(true)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("sample %d differs between sequential and parallel", i)
-		}
-	}
-	seq2 := collect(false)
+	seq := collect()
+	seq2 := collect()
 	for i := range seq {
 		if seq[i] != seq2[i] {
 			t.Fatal("reruns must be identical")
@@ -88,43 +80,19 @@ func TestRunDeterministicRNG(t *testing.T) {
 	}
 }
 
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	collect := func(workers int) []float64 {
-		s, err := Run(Options{Samples: 64, Seed: 9, Parallel: true, Workers: workers},
-			func(i int, rng *rand.Rand) Outcome {
-				return Outcome{Value: rng.Float64()}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Values
-	}
-	base := collect(1)
-	for _, workers := range []int{2, 3, 7, 64, 200} {
-		got := collect(workers)
-		for i := range base {
-			if base[i] != got[i] {
-				t.Fatalf("workers=%d: sample %d differs from workers=1", workers, i)
-			}
-		}
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []bool{false, true} {
-		_, err := Run(Options{Samples: 100, Seed: 1, Parallel: parallel, Context: ctx},
-			func(i int, rng *rand.Rand) Outcome { return Outcome{} })
-		if err != context.Canceled {
-			t.Fatalf("parallel=%v: err = %v, want context.Canceled", parallel, err)
-		}
+	_, err := Run(Options{Samples: 100, Seed: 1, Context: ctx},
+		func(i int, rng *rand.Rand) Outcome { return Outcome{} })
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRunFactoryPerWorkerState(t *testing.T) {
-	// The factory is invoked once per worker (once for serial runs), and a
-	// trial's private scratch state persists across the samples it claims.
+	// The factory is invoked once per batch, and a trial's private scratch
+	// state persists across the batch's samples.
 	factoryCalls := 0
 	s, err := RunFactory(Options{Samples: 20, Seed: 3}, func() Trial {
 		factoryCalls++
@@ -157,9 +125,6 @@ func TestRunFactoryPerWorkerState(t *testing.T) {
 	}
 	if _, err := RunFactory(Options{Samples: 1}, func() Trial { return nil }); err == nil {
 		t.Error("nil trial from factory must fail")
-	}
-	if _, err := RunFactory(Options{Samples: 1, Parallel: true}, func() Trial { return nil }); err == nil {
-		t.Error("nil trial from factory must fail (parallel)")
 	}
 }
 

@@ -386,14 +386,6 @@ type EngineOptions struct {
 	// CacheSize is the result cache entry budget: zero means the default
 	// (1024), negative disables caching.
 	CacheSize int
-	// CacheFile, when non-empty, makes the result cache persistent: loaded
-	// at NewEngine, snapshotted every CachePersistInterval, and saved at
-	// Close, so a restarted engine answers previously computed jobs
-	// without recomputing them.
-	CacheFile string
-	// CachePersistInterval is the background snapshot period when CacheFile
-	// is set: zero means the default (30s), negative saves only at Close.
-	CachePersistInterval time.Duration
 	// DefaultTimeout bounds each job unless the job sets its own; zero
 	// means no limit.
 	DefaultTimeout time.Duration
@@ -407,8 +399,8 @@ type EngineOptions struct {
 	// segmented write-ahead log under this directory: every result is
 	// group-committed before it is published, and NewEngine recovers by
 	// replaying the journal, so an engine killed at any point restarts
-	// with everything it ever acknowledged. With a journal the CacheFile
-	// snapshot is just a warm-start checkpoint.
+	// with everything it ever acknowledged. The journal is the engine's
+	// only durable state: without it the result cache is in memory.
 	JournalDir string
 	// JournalCompactInterval is the background journal compaction period;
 	// zero means the default (5m), negative disables it.
@@ -453,14 +445,12 @@ type Engine struct {
 	e *engine.Engine
 }
 
-// NewEngine starts an engine; Close it to release the workers (and write
-// the final cache snapshot when CacheFile is set).
+// NewEngine starts an engine; Close it to release the workers and close the
+// journal.
 func NewEngine(opt EngineOptions) *Engine {
 	return &Engine{e: engine.New(engine.Options{
 		Workers:                opt.Workers,
 		CacheSize:              opt.CacheSize,
-		CacheFile:              opt.CacheFile,
-		CachePersistInterval:   opt.CachePersistInterval,
 		JournalDir:             opt.JournalDir,
 		JournalCompactInterval: opt.JournalCompactInterval,
 		JournalMaxAge:          opt.JournalMaxAge,
@@ -515,8 +505,8 @@ func (e *Engine) Close() { e.e.Close() }
 
 // CloseTimeout is Close with a bound on the drain: when queued jobs have
 // not finished within d (zero waits forever), the remaining work is
-// abandoned — the journal is still flushed and the final cache snapshot
-// still written, so everything computed before the timeout stays durable.
+// abandoned — the journal is still flushed and closed, so every result
+// journaled before the timeout stays durable.
 func (e *Engine) CloseTimeout(d time.Duration) { e.e.CloseTimeout(d) }
 
 // SimulateMapped runs the design on the defective fabric under the given
