@@ -11,10 +11,12 @@
 // Use -samples to trade fidelity for speed (the paper uses 200) and -csv to
 // dump figure series as CSV files into the given directory.
 //
-// The Monte Carlo studies (table2, yield, ml) run through the parallel
-// compilation engine by default, one job per (circuit, algorithm) or sweep
-// point, scheduled across -workers cores; -parallel=false forces the serial
-// reference path. Both produce identical tables.
+// The mapping-yield studies (table2, yield, ml) run as compilation engine
+// jobs, one per (circuit, algorithm) or sweep point, scheduled across
+// -workers cores. Psucc does not depend on the worker count: every
+// sample's rng comes from the seed and sample index alone, and the
+// internal/experiments tests check the engine against the same jobs run
+// one by one through engine.Execute.
 package main
 
 import (
@@ -42,15 +44,11 @@ func main() {
 	seed := flag.Int64("seed", 2018, "random seed")
 	rate := flag.Float64("rate", 0.10, "stuck-open defect rate for table2 (paper: 0.10)")
 	csvDir := flag.String("csv", "", "directory to write figure CSV series into")
-	parallel := flag.Bool("parallel", true, "run Monte Carlo studies through the parallel engine")
 	workers := flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	var eng *engine.Engine
-	if *parallel {
-		eng = engine.New(engine.Options{Workers: *workers})
-		defer eng.Close()
-	}
+	eng := engine.New(engine.Options{Workers: *workers})
+	defer eng.Close()
 
 	run := func(name string) bool { return *only == "" || *only == name }
 	ok := true
@@ -364,13 +362,7 @@ func yield(samples int, seed int64, csvDir string, eng *engine.Engine) bool {
 	fmt.Println("== Section VI: redundancy vs yield (HBA on rd53) ==")
 	spares := []int{0, 1, 2, 4, 8}
 	rates := []float64{0.05, 0.10, 0.15, 0.20}
-	var points []experiments.YieldPoint
-	var err error
-	if eng != nil {
-		points, err = experiments.YieldEngine(eng, "rd53", spares, rates, samples, seed)
-	} else {
-		points, err = experiments.Yield("rd53", spares, rates, samples, seed)
-	}
+	points, err := experiments.YieldEngine(eng, "rd53", spares, rates, samples, seed)
 	if err != nil {
 		return fail(err)
 	}

@@ -308,35 +308,14 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 	if err != nil {
 		return JobResult{}, err
 	}
-	params := defect.Params{POpen: spec.OpenRate, PClosed: spec.ClosedRate}
 	// Samples run serially inside the job: the engine parallelizes across
-	// jobs, and serial per-sample rng derivation keeps Psucc identical to
-	// the one-shot experiment code paths. The job owns one preallocated
-	// defect map (regenerated in place per trial) and one mapping scratch,
-	// so the trial loop is allocation-free in steady state. Trial-setup
-	// failures (problem construction, defect regeneration) are reported as
-	// Outcome.Err, which fails the job instead of counting as a failed
-	// sample that would silently depress Psucc.
+	// jobs, and per-sample rng derivation depends only on the seed and the
+	// sample index, so Psucc is the same however the jobs are scheduled.
 	sum, err := montecarlo.RunFactory(montecarlo.Options{
 		Samples: spec.Samples,
 		Seed:    spec.Seed,
 		Context: ctx,
-	}, func() montecarlo.Trial {
-		dm := defect.NewMap(l.Rows+spec.SpareRows, l.Cols)
-		scratch := mapping.NewScratch()
-		p, pErr := mapping.NewProblem(l, dm)
-		return func(i int, rng *rand.Rand) montecarlo.Outcome {
-			if pErr != nil {
-				return montecarlo.Outcome{Err: pErr}
-			}
-			if genErr := dm.Regenerate(params, rng); genErr != nil {
-				return montecarlo.Outcome{Err: genErr}
-			}
-			start := time.Now()
-			r := algo(p, scratch)
-			return montecarlo.Outcome{Success: r.Valid, Elapsed: time.Since(start)}
-		}
-	})
+	}, MappingTrial(l, spec.SpareRows, defect.Params{POpen: spec.OpenRate, PClosed: spec.ClosedRate}, algo))
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -344,6 +323,36 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 		Rows: l.Rows, Cols: l.Cols, Area: l.Area(), IR: l.InclusionRatio(),
 		Samples: sum.Samples, Psucc: sum.SuccessRate, MeanTime: sum.MeanTime,
 	}, nil
+}
+
+// MappingTrial is the monte-carlo-yield job's trial, shared with the
+// experiment studies that map under their own algorithm variants. Each
+// batch owns one defect map of the layout's rows plus spareRows,
+// regenerated in place per trial, and one mapping scratch, so the trial
+// loop is allocation-free in steady state; Regenerate consumes the rng
+// exactly like Generate, so a fresh map per trial would give the same
+// results. Only algo is timed. A trial that cannot be set up (problem
+// construction, defect regeneration) reports Outcome.Err, which fails the
+// batch instead of counting as a failed sample that would silently depress
+// Psucc.
+func MappingTrial(l *xbar.Layout, spareRows int, params defect.Params,
+	algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) montecarlo.TrialFactory {
+	return func() montecarlo.Trial {
+		dm := defect.NewMap(l.Rows+spareRows, l.Cols)
+		scratch := mapping.NewScratch()
+		p, pErr := mapping.NewProblem(l, dm)
+		return func(i int, rng *rand.Rand) montecarlo.Outcome {
+			if pErr != nil {
+				return montecarlo.Outcome{Err: pErr}
+			}
+			if err := dm.Regenerate(params, rng); err != nil {
+				return montecarlo.Outcome{Err: err}
+			}
+			start := time.Now()
+			r := algo(p, scratch)
+			return montecarlo.Outcome{Success: r.Valid, Elapsed: time.Since(start)}
+		}
+	}
 }
 
 func algorithmByName(name string) (func(*mapping.Problem, *mapping.Scratch) mapping.Result, error) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,22 +127,29 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsOverloadRejects checks admission-control rejections reach both
-// the reject counter family and the 429 status counter.
+// the reject counter family and the 429 status counter. A Monte Carlo job
+// of a million samples (seconds of work) holds the lone worker and the
+// single queue slot, so the POST is rejected on every run; cancelling its
+// context then ends the job at the next sample. A longer job would cost
+// memory: the batch loop allocates a 40-byte outcome per sample up front.
 func TestMetricsOverloadRejects(t *testing.T) {
 	e := New(Options{Workers: 1, MaxQueuedJobs: 1})
 	defer e.Close()
 	srv := httptest.NewServer(NewHTTPHandler(e))
 	defer srv.Close()
 
-	var rejected int
-	for i := 0; i < 40 && rejected == 0; i++ {
-		resp := postJobsAs(t, srv.URL, "")
-		if resp.StatusCode == http.StatusTooManyRequests {
-			rejected++
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := e.Submit(ctx, []JobSpec{{Kind: MonteCarloYield, Benchmark: "rd53", Samples: 1_000_000}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rejected == 0 {
-		t.Skip("queue never saturated on this machine")
+	resp := postJobsAs(t, srv.URL, "")
+	cancel()
+	for range b.Results {
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /v1/jobs with the queue full: HTTP %d, want 429", resp.StatusCode)
 	}
 	body := scrapeMetrics(t, srv.URL)
 	if v := metricValue(t, body, `xbar_engine_rejects_total{reason="overloaded"}`); v < 1 {

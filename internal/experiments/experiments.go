@@ -11,15 +11,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/defect"
 	"repro/internal/engine"
 	"repro/internal/logic"
-	"repro/internal/mapping"
 	"repro/internal/minimize"
 	"repro/internal/montecarlo"
 	"repro/internal/randfunc"
@@ -106,8 +103,8 @@ type Table1Row struct {
 	NegTwoLevel   int
 	NegMultiLevel int
 	// PaperTwoLevel / PaperNegTwoLevel are the paper's published two-level
-	// areas (0 when the row is a structural stand-in whose dimensions are
-	// intentionally different; see EXPERIMENTS.md).
+	// areas (0 for the structural stand-ins t481 and cordic, whose
+	// dimensions intentionally differ from the MCNC originals).
 	PaperTwoLevel    int
 	PaperNegTwoLevel int
 }
@@ -176,8 +173,9 @@ func table1Covers(c suite.Circuit, negProducts int) (orig, neg *logic.Cover, err
 	if c.Kind == suite.Exact {
 		if c.Name == "sqrt8" {
 			// sqrt8 is regenerated as raw minterms; Table I compares
-			// minimized covers (espresso found 38 products, our minimizer
-			// lands nearby — the delta is recorded in EXPERIMENTS.md).
+			// minimized covers. Espresso found 38 products and our
+			// minimizer finds a few more, which is the whole of sqrt8's
+			// two-level area delta against the paper.
 			orig = minimize.Minimize(orig, minimize.Options{MaxIterations: 2})
 		}
 		neg = minimize.Minimize(orig.ComplementAll(), minimize.Options{MaxIterations: 2})
@@ -239,11 +237,12 @@ type Table2Options struct {
 	Seed int64
 	// Only restricts the run to the named circuits (nil = all).
 	Only []string
-	// Engine, when set, routes the study through the compilation engine:
-	// every (circuit, algorithm) Monte Carlo batch becomes one job and
-	// the rows fill in parallel across cores. Psucc columns are identical
-	// to the serial path because per-sample rng derivation depends only
-	// on the seed and sample index.
+	// Engine, when set, runs the study's jobs (one monte-carlo-yield job
+	// per circuit and algorithm) on the compilation engine, so the rows
+	// fill in parallel across cores. When nil, the same jobs run one by one
+	// through engine.Execute. Psucc columns are identical either way
+	// because per-sample rng derivation depends only on the seed and
+	// sample index.
 	Engine *engine.Engine
 }
 
@@ -262,75 +261,27 @@ func (o Table2Options) withDefaults() Table2Options {
 // reports success rates and mean per-sample algorithm runtime.
 func Table2(opt Table2Options) ([]Table2Row, error) {
 	opt = opt.withDefaults()
-	circuits := table2Selection(opt.Only)
-	if opt.Engine != nil {
-		return table2Engine(circuits, opt)
-	}
-	var rows []Table2Row
-	for _, c := range circuits {
-		row, err := table2One(c, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %v", c.Name, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func table2Selection(only []string) []suite.Circuit {
-	var circuits []suite.Circuit
+	var (
+		rows    []Table2Row
+		names   []string
+		layouts []*xbar.Layout
+	)
 	for _, c := range suite.Table2Circuits() {
-		if len(only) > 0 && !contains(only, c.Name) {
+		if len(opt.Only) > 0 && !contains(opt.Only, c.Name) {
 			continue
 		}
-		circuits = append(circuits, c)
-	}
-	return circuits
-}
-
-// table2Engine runs the whole study as one engine batch: two Monte Carlo
-// jobs (HBA, EA) per benchmark, scheduled across the pool.
-func table2Engine(circuits []suite.Circuit, opt Table2Options) ([]Table2Row, error) {
-	specs := make([]engine.JobSpec, 0, 2*len(circuits))
-	for _, c := range circuits {
-		l, err := xbar.NewTwoLevel(table2Cover(c))
+		cov := table2Cover(c)
+		l, err := xbar.NewTwoLevel(cov)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %v", c.Name, err)
 		}
-		base := engine.JobSpec{
-			Kind:     engine.MonteCarloYield,
-			Layout:   l, // synthesized once, shared by both algorithm jobs
-			OpenRate: opt.DefectRate,
-			Samples:  opt.Samples,
-			Seed:     opt.Seed + int64(len(c.Name)),
-		}
-		hba, ea := base, base
-		hba.Algorithm, ea.Algorithm = "HBA", "EA"
-		specs = append(specs, hba, ea)
-	}
-	results, err := opt.Engine.Run(context.Background(), specs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table2Row, 0, len(circuits))
-	for i, c := range circuits {
-		hba, ea := results[2*i], results[2*i+1]
-		if hba.Err != "" {
-			return nil, fmt.Errorf("experiments: %s (HBA): %s", c.Name, hba.Err)
-		}
-		if ea.Err != "" {
-			return nil, fmt.Errorf("experiments: %s (EA): %s", c.Name, ea.Err)
-		}
-		cov := table2Cover(c)
 		row := Table2Row{
 			Name:      c.Name,
 			Inputs:    cov.NumIn,
 			Outputs:   cov.NumOut,
 			Products:  cov.NumProducts(),
-			Area:      hba.Area,
-			IR:        hba.IR,
-			HBA:       AlgoStats{Psucc: hba.Psucc, MeanTime: hba.MeanTime},
-			EA:        AlgoStats{Psucc: ea.Psucc, MeanTime: ea.MeanTime},
+			Area:      l.Area(),
+			IR:        l.InclusionRatio(),
 			PaperArea: (c.Products + c.Outputs) * (2*c.Inputs + 2*c.Outputs),
 			PaperIR:   c.IR,
 		}
@@ -338,6 +289,15 @@ func table2Engine(circuits []suite.Circuit, opt Table2Options) ([]Table2Row, err
 			row.PaperPsHBA, row.PaperPsEA = ps[0], ps[1]
 		}
 		rows = append(rows, row)
+		names = append(names, c.Name)
+		layouts = append(layouts, l)
+	}
+	cols, err := runPairs(opt.Engine, names, layouts, opt.DefectRate, opt.Samples, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].HBA, rows[i].EA = cols[i][0], cols[i][1]
 	}
 	return rows, nil
 }
@@ -367,69 +327,63 @@ var (
 	table2CoverCache = map[string]*logic.Cover{}
 )
 
-// yieldTrialFactory builds the Monte Carlo trial shared by the mapping
-// studies: per batch, one preallocated defect map regenerated in place per
-// trial plus mapping scratch buffers, so the steady-state trial loop is
-// allocation-free. Results are bit-identical to generating a fresh map per
-// trial because Regenerate consumes the rng exactly like Generate. A trial
-// that cannot be set up reports Outcome.Err, failing the study with the
-// same error the engine's monte-carlo-yield job fails with.
-func yieldTrialFactory(l *xbar.Layout, spareRows int, params defect.Params,
-	algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) montecarlo.TrialFactory {
-	return func() montecarlo.Trial {
-		dm := defect.NewMap(l.Rows+spareRows, l.Cols)
-		scratch := mapping.NewScratch()
-		p, pErr := mapping.NewProblem(l, dm)
-		return func(i int, rng *rand.Rand) montecarlo.Outcome {
-			if pErr != nil {
-				return montecarlo.Outcome{Err: pErr}
-			}
-			if genErr := dm.Regenerate(params, rng); genErr != nil {
-				return montecarlo.Outcome{Err: genErr}
-			}
-			start := time.Now()
-			res := algo(p, scratch)
-			return montecarlo.Outcome{Success: res.Valid, Elapsed: time.Since(start)}
+// runPairs runs one HBA and one EA monte-carlo-yield job per layout and
+// returns each layout's HBA and EA columns: the batch behind Table II and
+// the multi-level study. Each circuit's seed is the study seed offset by
+// the length of its name.
+func runPairs(e *engine.Engine, names []string, layouts []*xbar.Layout,
+	rate float64, samples int, seed int64) ([][2]AlgoStats, error) {
+	specs := make([]engine.JobSpec, 0, 2*len(layouts))
+	for i, l := range layouts {
+		base := engine.JobSpec{
+			Kind:     engine.MonteCarloYield,
+			Layout:   l, // synthesized once, shared by both algorithm jobs
+			OpenRate: rate,
+			Samples:  samples,
+			Seed:     seed + int64(len(names[i])),
 		}
+		hba, ea := base, base
+		hba.Algorithm, ea.Algorithm = "HBA", "EA"
+		specs = append(specs, hba, ea)
 	}
+	results, err := runJobs(e, specs, func(i int) string {
+		return fmt.Sprintf("%s (%s)", names[i/2], specs[i].Algorithm)
+	})
+	if err != nil {
+		return nil, err
+	}
+	cols := make([][2]AlgoStats, len(layouts))
+	for i, r := range results {
+		cols[i/2][i%2] = AlgoStats{Psucc: r.Psucc, MeanTime: r.MeanTime}
+	}
+	return cols, nil
 }
 
-func table2One(c suite.Circuit, opt Table2Options) (Table2Row, error) {
-	cov := table2Cover(c)
-	l, err := xbar.NewTwoLevel(cov)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	row := Table2Row{
-		Name:      c.Name,
-		Inputs:    cov.NumIn,
-		Outputs:   cov.NumOut,
-		Products:  cov.NumProducts(),
-		Area:      l.Area(),
-		IR:        l.InclusionRatio(),
-		PaperArea: (c.Products + c.Outputs) * (2*c.Inputs + 2*c.Outputs),
-		PaperIR:   c.IR,
-	}
-	if ps, ok := paperTable2[c.Name]; ok {
-		row.PaperPsHBA, row.PaperPsEA = ps[0], ps[1]
-	}
-	run := func(algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) (AlgoStats, error) {
-		summary, err := montecarlo.RunFactory(montecarlo.Options{
-			Samples: opt.Samples,
-			Seed:    opt.Seed + int64(len(c.Name)),
-		}, yieldTrialFactory(l, 0, defect.Params{POpen: opt.DefectRate}, algo))
-		if err != nil {
-			return AlgoStats{}, err
+// runJobs runs a study's jobs and returns their results in spec order, or
+// an error naming the first failed job by label. With an engine the jobs
+// run on its worker pool, cache and dedup included. With nil each spec
+// runs in turn through engine.Execute, the bare job body with no pool,
+// cache, dedup or journal: the reference the engine path is tested
+// against.
+func runJobs(e *engine.Engine, specs []engine.JobSpec, label func(i int) string) ([]engine.JobResult, error) {
+	ctx := context.TODO() // the studies' exported signatures take no context
+	var results []engine.JobResult
+	if e != nil {
+		var err error
+		if results, err = e.Run(ctx, specs); err != nil {
+			return nil, err
 		}
-		return AlgoStats{Psucc: summary.SuccessRate, MeanTime: summary.MeanTime}, nil
+	} else {
+		for _, s := range specs {
+			results = append(results, engine.Execute(ctx, s))
+		}
 	}
-	if row.HBA, err = run(mapping.HBAScratch); err != nil {
-		return Table2Row{}, err
+	for i, r := range results {
+		if r.Err != "" {
+			return nil, fmt.Errorf("experiments: %s: %s", label(i), r.Err)
+		}
 	}
-	if row.EA, err = run(mapping.ExactScratch); err != nil {
-		return Table2Row{}, err
-	}
-	return row, nil
+	return results, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -445,34 +399,15 @@ type YieldPoint struct {
 
 // Yield sweeps redundant spare rows against stuck-open defect rates for one
 // circuit, quantifying the paper's Section VI claim that redundancy buys
-// defect tolerance.
+// defect tolerance. It is YieldEngine without an engine.
 func Yield(circuit string, spares []int, rates []float64, samples int, seed int64) ([]YieldPoint, error) {
-	c, ok := suite.ByName(circuit)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown circuit %q", circuit)
-	}
-	l, err := xbar.NewTwoLevel(c.Build())
-	if err != nil {
-		return nil, err
-	}
-	var points []YieldPoint
-	for _, spare := range spares {
-		for _, rate := range rates {
-			summary, err := montecarlo.RunFactory(montecarlo.Options{Samples: samples, Seed: seed},
-				yieldTrialFactory(l, spare, defect.Params{POpen: rate}, mapping.HBAScratch))
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, YieldPoint{SpareRows: spare, DefectRate: rate, Psucc: summary.SuccessRate})
-		}
-	}
-	return points, nil
+	return YieldEngine(nil, circuit, spares, rates, samples, seed)
 }
 
-// YieldEngine runs the same sweep as Yield through the compilation engine:
-// one monte-carlo-yield job per (spare rows, defect rate) point, executed
-// across cores. Psucc values match Yield exactly (same seeds, same
-// per-sample rng derivation); points come back in sweep order.
+// YieldEngine runs the sweep as one HBA monte-carlo-yield job per (spare
+// rows, defect rate) point: on e's worker pool, or one by one through
+// engine.Execute when e is nil. Psucc values are the same either way (same
+// seeds, same per-sample rng derivation); points come back in sweep order.
 func YieldEngine(e *engine.Engine, circuit string, spares []int, rates []float64, samples int, seed int64) ([]YieldPoint, error) {
 	c, ok := suite.ByName(circuit)
 	if !ok {
@@ -496,20 +431,15 @@ func YieldEngine(e *engine.Engine, circuit string, spares []int, rates []float64
 			})
 		}
 	}
-	results, err := e.Run(context.Background(), specs)
+	results, err := runJobs(e, specs, func(i int) string {
+		return fmt.Sprintf("yield point (%d, %.2f)", specs[i].SpareRows, specs[i].OpenRate)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var points []YieldPoint
-	i := 0
-	for _, spare := range spares {
-		for _, rate := range rates {
-			if results[i].Err != "" {
-				return nil, fmt.Errorf("experiments: yield point (%d, %.2f): %s", spare, rate, results[i].Err)
-			}
-			points = append(points, YieldPoint{SpareRows: spare, DefectRate: rate, Psucc: results[i].Psucc})
-			i++
-		}
+	points := make([]YieldPoint, len(results))
+	for i, r := range results {
+		points[i] = YieldPoint{SpareRows: specs[i].SpareRows, DefectRate: specs[i].OpenRate, Psucc: r.Psucc}
 	}
 	return points, nil
 }

@@ -71,7 +71,8 @@ func TestTable1Shapes(t *testing.T) {
 	// Two-level areas are a function of I, O, P alone: profile rows match
 	// the paper exactly by construction; exact rows are regenerated through
 	// our own minimizer, so they land within a 15% band of espresso's
-	// product counts (EXPERIMENTS.md records the deltas).
+	// product counts (sqrt8 and rd53's negation above the paper, the
+	// negations of sqrt8 and rd84 below it).
 	// Beating the paper's minimizer is fine; being >15% worse is not.
 	within := func(got, paper int) bool {
 		return got > 0 && float64(got) < float64(paper)*1.15

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/defect"
@@ -43,9 +41,10 @@ type MLOptions struct {
 	// very large profiles are excluded because random dense covers factor
 	// into very wide multi-level layouts).
 	Circuits []string
-	// Engine, when set, routes the Monte Carlo batches through the
-	// compilation engine (one job per circuit and algorithm), with Psucc
-	// identical to the serial path.
+	// Engine, when set, runs the study's jobs (one monte-carlo-yield job
+	// per circuit and algorithm) on the compilation engine. When nil, the
+	// same jobs run one by one through engine.Execute, with identical
+	// Psucc.
 	Engine *engine.Engine
 }
 
@@ -65,10 +64,10 @@ func MultiLevelMapping(opt MLOptions) ([]MLRow, error) {
 	if circuits == nil {
 		circuits = DefaultMLCircuits
 	}
-	// Phase 1: geometry. Build every circuit's multi-level layout and the
-	// static row columns; the Monte Carlo phase then runs either serially
-	// or as one engine batch.
-	var preps []mlPrepared
+	var (
+		rows    []MLRow
+		layouts []*xbar.Layout
+	)
 	for _, name := range circuits {
 		c, ok := suite.ByName(name)
 		if !ok {
@@ -86,7 +85,7 @@ func MultiLevelMapping(opt MLOptions) ([]MLRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %v", name, err)
 		}
-		preps = append(preps, mlPrepared{name: name, l: l, row: MLRow{
+		rows = append(rows, MLRow{
 			Name:  name,
 			Gates: nw.NumGates(),
 			Wires: nw.NumInternalWires(),
@@ -94,76 +93,15 @@ func MultiLevelMapping(opt MLOptions) ([]MLRow, error) {
 			Cols:  l.Cols,
 			Area:  l.Area(),
 			IR:    l.InclusionRatio(),
-		}})
+		})
+		layouts = append(layouts, l)
 	}
-	if opt.Engine != nil {
-		return mlEngine(preps, opt)
-	}
-	var rows []MLRow
-	for _, p := range preps {
-		name, l, row := p.name, p.l, p.row
-		var err error
-		run := func(algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) (AlgoStats, error) {
-			summary, err := montecarlo.RunFactory(montecarlo.Options{
-				Samples: opt.Samples, Seed: opt.Seed + int64(len(name)),
-			}, yieldTrialFactory(l, 0, defect.Params{POpen: opt.DefectRate}, algo))
-			if err != nil {
-				return AlgoStats{}, err
-			}
-			return AlgoStats{Psucc: summary.SuccessRate, MeanTime: summary.MeanTime}, nil
-		}
-		if row.HBA, err = run(mapping.HBAScratch); err != nil {
-			return nil, err
-		}
-		if row.EA, err = run(mapping.ExactScratch); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// mlPrepared is one circuit with its multi-level layout and static columns
-// built, awaiting the Monte Carlo phase.
-type mlPrepared struct {
-	name string
-	l    *xbar.Layout
-	row  MLRow
-}
-
-// mlEngine runs the Monte Carlo phase of the multi-level study as one
-// engine batch: two jobs (HBA, EA) per circuit on multi-level layouts.
-func mlEngine(preps []mlPrepared, opt MLOptions) ([]MLRow, error) {
-	var specs []engine.JobSpec
-	for _, p := range preps {
-		base := engine.JobSpec{
-			Kind:     engine.MonteCarloYield,
-			Layout:   p.l, // already synthesized in phase 1
-			OpenRate: opt.DefectRate,
-			Samples:  opt.Samples,
-			Seed:     opt.Seed + int64(len(p.name)),
-		}
-		hba, ea := base, base
-		hba.Algorithm, ea.Algorithm = "HBA", "EA"
-		specs = append(specs, hba, ea)
-	}
-	results, err := opt.Engine.Run(context.Background(), specs)
+	cols, err := runPairs(opt.Engine, circuits, layouts, opt.DefectRate, opt.Samples, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]MLRow, 0, len(preps))
-	for i, p := range preps {
-		hba, ea := results[2*i], results[2*i+1]
-		if hba.Err != "" {
-			return nil, fmt.Errorf("experiments: %s (HBA): %s", p.name, hba.Err)
-		}
-		if ea.Err != "" {
-			return nil, fmt.Errorf("experiments: %s (EA): %s", p.name, ea.Err)
-		}
-		row := p.row
-		row.HBA = AlgoStats{Psucc: hba.Psucc, MeanTime: hba.MeanTime}
-		row.EA = AlgoStats{Psucc: ea.Psucc, MeanTime: ea.MeanTime}
-		rows = append(rows, row)
+	for i := range rows {
+		rows[i].HBA, rows[i].EA = cols[i][0], cols[i][1]
 	}
 	return rows, nil
 }
@@ -204,22 +142,9 @@ func Ablation(circuit string, samples int, rate float64, seed int64) ([]Ablation
 	var rows []AblationRow
 	for _, v := range variants {
 		opt := v.opt
+		hba := func(p *mapping.Problem, _ *mapping.Scratch) mapping.Result { return mapping.HBAWith(p, opt) }
 		summary, err := montecarlo.RunFactory(montecarlo.Options{Samples: samples, Seed: seed},
-			func() montecarlo.Trial {
-				dm := defect.NewMap(l.Rows, l.Cols)
-				p, pErr := mapping.NewProblem(l, dm)
-				return func(i int, rng *rand.Rand) montecarlo.Outcome {
-					if pErr != nil {
-						return montecarlo.Outcome{Err: pErr}
-					}
-					if genErr := dm.Regenerate(defect.Params{POpen: rate}, rng); genErr != nil {
-						return montecarlo.Outcome{Err: genErr}
-					}
-					start := time.Now()
-					res := mapping.HBAWith(p, opt)
-					return montecarlo.Outcome{Success: res.Valid, Elapsed: time.Since(start)}
-				}
-			})
+			engine.MappingTrial(l, 0, defect.Params{POpen: rate}, hba))
 		if err != nil {
 			return nil, err
 		}

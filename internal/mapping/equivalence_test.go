@@ -18,6 +18,25 @@ import (
 	"repro/internal/xbar"
 )
 
+// scalarRowMatches is the pre-refactor per-column matcher, kept as the
+// reference implementation for the packed/scalar equivalence tests. It
+// deliberately rescans the defect cells instead of using the cached masks.
+func (p *Problem) scalarRowMatches(fmRow int, cmRow int, stats *Stats) bool {
+	stats.MatchChecks++
+	for c := 0; c < p.Defects.Cols; c++ {
+		if p.Defects.At(cmRow, c) == defect.StuckClosed {
+			return false
+		}
+	}
+	active := p.Layout.Active[fmRow]
+	for c, a := range active {
+		if a && !p.Defects.Functional(cmRow, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // refColHasClosed rescans the column like the pre-refactor defect.Map did.
 func refColHasClosed(dm *defect.Map, c int) bool {
 	for r := 0; r < dm.Rows; r++ {

@@ -25,9 +25,9 @@
 // backtracking relocations, and assignment matching read those bitsets
 // with word operations — the greedy and backtracking scans visit rows in
 // the same top-to-bottom order as the pre-batch scans, so product
-// placements are bit-identical. The pre-refactor scalar matcher is
-// retained (scalarRowMatches) as the reference implementation the
-// equivalence tests check both paths against.
+// placements are bit-identical. The equivalence tests check both paths
+// against the pre-refactor scalar matcher (scalarRowMatches, in
+// equivalence_test.go).
 package mapping
 
 import (
@@ -267,25 +267,6 @@ func (p *Problem) rowMatches(fmRow int, cmRow int, stats *Stats) bool {
 		return false // forced-1 line cannot host any logic row
 	}
 	return bitmat.SubsetOf(p.Layout.ActiveRow(fmRow), p.Defects.FunctionalRow(cmRow))
-}
-
-// scalarRowMatches is the pre-refactor per-column matcher, kept as the
-// reference implementation for the packed/scalar equivalence tests. It
-// deliberately rescans the defect cells instead of using the cached masks.
-func (p *Problem) scalarRowMatches(fmRow int, cmRow int, stats *Stats) bool {
-	stats.MatchChecks++
-	for c := 0; c < p.Defects.Cols; c++ {
-		if p.Defects.At(cmRow, c) == defect.StuckClosed {
-			return false
-		}
-	}
-	active := p.Layout.Active[fmRow]
-	for c, a := range active {
-		if a && !p.Defects.Functional(cmRow, c) {
-			return false
-		}
-	}
-	return true
 }
 
 // Naive places rows in identity order, ignoring defects, then validates.

@@ -6,7 +6,7 @@ import "repro/internal/logic"
 // Table I benchmarks where the paper's multi-level design *wins*. Their
 // defining property — a huge two-level cover with a tiny factored form — is
 // reproduced with AND-of-XOR functions; the exact product counts differ from
-// the MCNC originals and are reported in EXPERIMENTS.md.
+// the MCNC originals, so Table I prints no paper areas for these two rows.
 
 // XorAndCover builds the single-output function
 //

@@ -9,7 +9,9 @@
 //     matching the paper's published inputs, outputs, product count, and
 //     inclusion ratio. The defect-mapping experiment of Table II depends
 //     only on this geometry and density, so the profile preserves the
-//     behaviour being measured. DESIGN.md documents the substitution.
+//     behaviour being measured. It matches only these four numbers, not
+//     the original function, so a profile row's Psucc need not equal the
+//     paper's.
 package suite
 
 import (
@@ -44,8 +46,9 @@ type Circuit struct {
 	Name string
 	Kind Kind
 	// Inputs, Outputs, Products are the paper's published dimensions
-	// (Table II columns I, O, P); for exact circuits they are also the
-	// regenerated dimensions unless noted in EXPERIMENTS.md.
+	// (Table II columns I, O, P). The rd-family exact circuits regenerate
+	// exactly these; sqrt8 and squar5 are regenerated as full minterm
+	// lists (255 and 30 products) that callers minimize.
 	Inputs   int
 	Outputs  int
 	Products int
