@@ -1,18 +1,15 @@
 // Command xbarvet runs the repo-invariant static-analysis suite of
 // internal/analysis over the module: zero-alloc hot paths (hotpath-alloc),
-// journal/engine lock discipline (lock-io), kernel-dispatch parity across
-// build tags (dispatch-parity), metrics naming rules (metrics-contract),
-// and durable-write error handling (errcheck-durable).
+// journal/engine lock discipline (lock-io), metrics naming rules
+// (metrics-contract), and durable-write error handling (errcheck-durable).
 //
 // Usage:
 //
-//	xbarvet [-dir .] [-tags purego] [-analyzers a,b] [-list] [packages]
+//	xbarvet [-dir .] [-analyzers a,b] [-list] [packages]
 //
 // The whole module enclosing -dir is always loaded and checked (package
 // arguments such as ./... are accepted for go-vet muscle-memory and
-// ignored). Exit status: 0 clean, 1 findings, 2 load or usage error. Run
-// once per build leg: `xbarvet ./...` checks the default leg and
-// `xbarvet -tags purego ./...` the portable one.
+// ignored). Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
 
 import (
@@ -33,7 +30,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xbarvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "directory inside the module to analyze")
-	tags := fs.String("tags", "", "comma-separated build tags (e.g. purego) selecting the leg to type-check")
 	names := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
@@ -50,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xbarvet: %v\n", err)
 		return 2
 	}
-	m, err := analysis.Load(analysis.Config{Dir: *dir, Tags: splitList(*tags)})
+	m, err := analysis.Load(analysis.Config{Dir: *dir})
 	if err != nil {
 		fmt.Fprintf(stderr, "xbarvet: %v\n", err)
 		return 2
@@ -60,11 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, f.Format(m.Dir))
 	}
 	if len(findings) > 0 {
-		leg := "default"
-		if len(m.Tags) > 0 {
-			leg = strings.Join(m.Tags, ",")
-		}
-		fmt.Fprintf(stderr, "xbarvet: %d finding(s) on the %s leg\n", len(findings), leg)
+		fmt.Fprintf(stderr, "xbarvet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

@@ -19,7 +19,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d, want 0", code)
 	}
-	for _, name := range []string{"hotpath-alloc", "lock-io", "dispatch-parity", "metrics-contract", "errcheck-durable"} {
+	for _, name := range []string{"hotpath-alloc", "lock-io", "metrics-contract", "errcheck-durable"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
@@ -62,24 +62,8 @@ func TestFindingsFormatAndExitCode(t *testing.T) {
 	if !findingLine.MatchString(out) {
 		t.Errorf("stdout does not carry a module-relative file:line: [analyzer] finding:\n%s", out)
 	}
-	if strings.Contains(out, "purego_sync.go") {
-		t.Errorf("default leg reported the purego-only file:\n%s", out)
-	}
-	if !strings.Contains(errOut, "finding(s) on the default leg") {
-		t.Errorf("stderr summary missing leg name: %q", errOut)
-	}
-}
-
-func TestTagLegSelection(t *testing.T) {
-	code, out, errOut := runVet(t, "-dir", "testdata/dirty", "-tags", "purego", "./...")
-	if code != 1 {
-		t.Fatalf("purego leg exited %d, want 1", code)
-	}
-	if !strings.Contains(out, "purego_sync.go:") {
-		t.Errorf("purego leg did not report the purego-gated violation:\n%s", out)
-	}
-	if !strings.Contains(errOut, "on the purego leg") {
-		t.Errorf("stderr summary does not name the purego leg: %q", errOut)
+	if !strings.Contains(errOut, "xbarvet: 1 finding(s)") {
+		t.Errorf("stderr summary missing the finding count: %q", errOut)
 	}
 }
 

@@ -1,5 +1,4 @@
-// Package dirty seeds one default-leg violation and one purego-only
-// violation so driver tests can tell the legs apart.
+// Package dirty seeds one errcheck-durable violation for the driver tests.
 package dirty
 
 import "os"

@@ -1,10 +1,9 @@
 // Package analysis is xbarvet's engine: a dependency-free static-analysis
 // driver (stdlib go/ast, go/build, go/parser, go/types only) that loads and
-// type-checks the module under a chosen build-tag leg and runs the
-// repo-specific analyzers that lock in this codebase's load-bearing
-// invariants — zero-allocation hot paths, journal/engine lock discipline,
-// kernel-dispatch parity across build tags, the metrics naming contract,
-// and durable-write error handling.
+// type-checks the module and runs the repo-specific analyzers that lock in
+// this codebase's load-bearing invariants — zero-allocation hot paths,
+// journal/engine lock discipline, the metrics naming contract, and
+// durable-write error handling.
 //
 // Findings are reported as "file:line: [analyzer] message". A finding is
 // suppressed by a same-line or preceding-line comment of the form
@@ -29,7 +28,6 @@ import (
 const (
 	hotpathAllocName    = "hotpath-alloc"
 	lockIOName          = "lock-io"
-	dispatchParityName  = "dispatch-parity"
 	metricsContractName = "metrics-contract"
 	errcheckDurableName = "errcheck-durable"
 )
@@ -65,7 +63,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc,
 		LockIO,
-		DispatchParity,
 		MetricsContract,
 		ErrcheckDurable,
 	}

@@ -24,8 +24,7 @@ type want struct {
 	hit    bool
 }
 
-// fixtureWants scans every .go file under dir (including files excluded by
-// build tags — dispatch-parity findings land in those) for want comments.
+// fixtureWants scans every .go file under dir for want comments.
 func fixtureWants(t *testing.T, dir string) []*want {
 	t.Helper()
 	var wants []*want
@@ -54,8 +53,8 @@ func fixtureWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// runFixture loads the fixture module under testdata/name on the default
-// leg and returns the findings of one analyzer with fixture-relative paths.
+// runFixture loads the fixture module under testdata/name and returns the
+// findings of one analyzer with fixture-relative paths.
 func runFixture(t *testing.T, name, analyzer string) ([]Finding, *Module) {
 	t.Helper()
 	m, err := Load(Config{Dir: filepath.Join("testdata", name)})
@@ -76,7 +75,6 @@ func TestAnalyzersAgainstFixtures(t *testing.T) {
 	}{
 		{"hotpath", "hotpath-alloc"},
 		{"lockio", "lock-io"},
-		{"parity", "dispatch-parity"},
 		{"metricsfix", "metrics-contract"},
 		{"errcheckfix", "errcheck-durable"},
 	}
@@ -130,8 +128,8 @@ func TestMalformedAllowIsReported(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	all, err := Lookup(nil)
-	if err != nil || len(all) != 5 {
-		t.Fatalf("Lookup(nil) = %d analyzers, err %v; want all 5", len(all), err)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("Lookup(nil) = %d analyzers, err %v; want all 4", len(all), err)
 	}
 	one, err := Lookup([]string{"lock-io"})
 	if err != nil || len(one) != 1 || one[0].Name != "lock-io" {
@@ -156,25 +154,17 @@ func TestFindingFormat(t *testing.T) {
 	}
 }
 
-// TestRepoBothLegsClean is the self-test the CI gate relies on: the module
-// this package lives in must run the whole suite clean on both build legs.
-func TestRepoBothLegsClean(t *testing.T) {
+// TestRepoClean is the self-test the CI gate relies on: the module this
+// package lives in must run the whole suite clean.
+func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; skipped in -short")
 	}
-	for _, tags := range [][]string{nil, {"purego"}} {
-		name := "default"
-		if len(tags) > 0 {
-			name = strings.Join(tags, ",")
-		}
-		t.Run(name, func(t *testing.T) {
-			m, err := Load(Config{Dir: filepath.Join("..", ".."), Tags: tags})
-			if err != nil {
-				t.Fatalf("loading module on the %s leg: %v", name, err)
-			}
-			for _, f := range m.Run(Analyzers()) {
-				t.Errorf("%s", f.Format(m.Dir))
-			}
-		})
+	m, err := Load(Config{Dir: filepath.Join("..", "..")})
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	for _, f := range m.Run(Analyzers()) {
+		t.Errorf("%s", f.Format(m.Dir))
 	}
 }

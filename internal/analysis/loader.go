@@ -16,23 +16,19 @@ import (
 )
 
 // Config selects what Load loads. Dir may be any directory inside the
-// module; Load walks up to the enclosing go.mod. Tags are extra build tags
-// (the purego leg passes []string{"purego"}), applied on top of the host
-// build context.
+// module; Load walks up to the enclosing go.mod.
 type Config struct {
-	Dir  string
-	Tags []string
+	Dir string
 }
 
-// Module is one fully loaded and type-checked build leg of the module:
-// every package under the module root (testdata and hidden directories
-// excluded), with the ASTs, type information, //xbar:hotpath annotations,
-// and //xbar:allow suppressions the analyzers consume.
+// Module is the fully loaded and type-checked module under the host build
+// context: every package under the module root (testdata and hidden
+// directories excluded), with the ASTs, type information, //xbar:hotpath
+// annotations, and //xbar:allow suppressions the analyzers consume.
 type Module struct {
 	Fset *token.FileSet
 	Dir  string // module root (the directory holding go.mod)
 	Path string // module path declared by go.mod
-	Tags []string
 
 	Packages []*Package // sorted by import path
 
@@ -72,7 +68,7 @@ type loader struct {
 	loading map[string]bool
 }
 
-// Load type-checks the whole module under cfg's build tags.
+// Load type-checks the whole module.
 func Load(cfg Config) (*Module, error) {
 	dir := cfg.Dir
 	if dir == "" {
@@ -92,7 +88,6 @@ func Load(cfg Config) (*Module, error) {
 		return nil, err
 	}
 	ctx := build.Default
-	ctx.BuildTags = append([]string(nil), cfg.Tags...)
 	// The stdlib is imported from source; with cgo off the pure-Go variants
 	// of net/os/user are selected, which is all type checking needs. The
 	// source importer reads build.Default, so the global must agree.
@@ -117,7 +112,6 @@ func Load(cfg Config) (*Module, error) {
 		Fset:    fset,
 		Dir:     modDir,
 		Path:    modPath,
-		Tags:    cfg.Tags,
 		hotpath: make(map[types.Object]*ast.FuncDecl),
 		allows:  make(map[string]map[int][]string),
 	}

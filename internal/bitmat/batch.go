@@ -9,11 +9,10 @@ package bitmat
 // pairs.
 //
 // The inner loops process eight CM rows per iteration with the bounds checks
-// hoisted out of the word loop, and the single-word fast path (every Table II
-// fabric is <= 64 columns) dispatches to a per-architecture kernel: amd64
-// builds get a hand-scheduled branchless variant (batch_amd64.go), everything
-// else — and any build with the purego tag — runs the portable kernel below.
-// All variants are property-tested against matchRowAgainstScalar.
+// hoisted out of the word loop, and fabrics of at most 64 columns (every
+// Table II fabric) take a single-word fast path that retires 64 CM rows per
+// output-word store. Both kernels are property-tested against
+// matchRowAgainstScalar.
 
 // MatchRowAgainst computes the candidate bitset of one packed FM row against
 // every row of a CM matrix: bit j of out is set iff fm is a subset of
@@ -44,15 +43,52 @@ func MatchRowAgainst(fm Row, cm *Matrix, out Row) {
 	matchMultiWord(fm, bits, out, rows, w)
 }
 
-// matchSingleWordPortable is the portable single-word kernel (<= 64 fabric
-// columns): each CM row is one word, so the candidate test is one AND-NOT and
-// the eight per-iteration rows share one bounds-checked subslice. It is the
-// !amd64/purego implementation of matchSingleWord and the reference the
-// amd64 variant is parity-tested against.
+// matchSingleWord is the single-word kernel (<= 64 fabric columns): each CM
+// row is one word, so the candidate test is one AND-NOT. It retires a full
+// 64-row output word per outer iteration, accumulating the eight octets in a
+// register and storing once. The subset tests keep the comparison form the
+// compiler lowers to flag ops without branches (TESTQ+SETEQ on amd64), so
+// throughput stays density-independent. The fewer than 64 tail rows go eight
+// at a time through one bounds-checked subslice, then one at a time.
 //
 //xbar:hotpath
-func matchSingleWordPortable(f uint64, bits []uint64, out Row, rows int) {
-	j := 0
+func matchSingleWord(f uint64, bits []uint64, out Row, rows int) {
+	full := rows &^ 63
+	for base := 0; base < full; base += 64 {
+		blk := bits[base : base+64 : base+64]
+		var w uint64
+		for k := 0; k < 64; k += 8 {
+			var oct uint64
+			if f&^blk[k] == 0 {
+				oct = 1
+			}
+			if f&^blk[k+1] == 0 {
+				oct |= 1 << 1
+			}
+			if f&^blk[k+2] == 0 {
+				oct |= 1 << 2
+			}
+			if f&^blk[k+3] == 0 {
+				oct |= 1 << 3
+			}
+			if f&^blk[k+4] == 0 {
+				oct |= 1 << 4
+			}
+			if f&^blk[k+5] == 0 {
+				oct |= 1 << 5
+			}
+			if f&^blk[k+6] == 0 {
+				oct |= 1 << 6
+			}
+			if f&^blk[k+7] == 0 {
+				oct |= 1 << 7
+			}
+			w |= oct << uint(k)
+		}
+		// out is zeroed by MatchRowAgainst, so a plain store suffices.
+		out[base>>6] = w
+	}
+	j := full
 	for ; j+7 < rows; j += 8 {
 		blk := bits[j : j+8 : j+8]
 		var oct uint64
@@ -92,14 +128,14 @@ func matchSingleWordPortable(f uint64, bits []uint64, out Row, rows int) {
 	}
 }
 
-// matchMultiWordPortable handles fabrics wider than 64 columns: eight CM rows
+// matchMultiWord handles fabrics wider than 64 columns: eight CM rows
 // per outer iteration, one accumulator each, all eight fed from a single
 // bounds-checked window over the row words so the inner loop is
 // bounds-check-free. An accumulator ends zero iff its row contains the FM
 // row.
 //
 //xbar:hotpath
-func matchMultiWordPortable(fm Row, bits []uint64, out Row, rows, w int) {
+func matchMultiWord(fm Row, bits []uint64, out Row, rows, w int) {
 	j := 0
 	for ; j+7 < rows; j += 8 {
 		base := j * w

@@ -6,16 +6,18 @@ import (
 	"testing/quick"
 )
 
-// TestMatchRowAgainstWidths sweeps the kernel across the widths that exercise
-// every dispatch and tail combination — single-word, exactly one word,
-// word-straddling, two words, and beyond — at several densities, with row
-// counts that leave 0..7 rows for the tail loop. Deterministic complement to
-// the quick/fuzz properties.
+// TestMatchRowAgainstWidths sweeps the kernels across the widths that
+// exercise every dispatch and tail combination — single-word at Table II
+// fabric widths (20 and 44 columns), exactly one word, word-straddling, two
+// words, and beyond — at densities from never-matching to always-matching,
+// with row counts that cover the single-word kernel's 64-row body, its
+// 8-row tail and every scalar tail length. Deterministic complement to the
+// quick/fuzz properties.
 func TestMatchRowAgainstWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, cols := range []int{63, 64, 65, 127, 128, 129} {
-		for _, rows := range []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129} {
-			for _, density := range []float64{0.0, 0.35, 0.9, 1.0} {
+	for _, cols := range []int{20, 44, 63, 64, 65, 127, 128, 129} {
+		for _, rows := range []int{1, 5, 7, 8, 9, 16, 63, 64, 65, 100, 127, 128, 129, 191, 300} {
+			for _, density := range []float64{0.0, 0.3, 0.35, 0.7, 0.9, 1.0} {
 				cm := randMatrix(rng, rows, cols, density)
 				fm := NewRow(cols)
 				for c := 0; c < cols; c++ {
@@ -27,16 +29,16 @@ func TestMatchRowAgainstWidths(t *testing.T) {
 				MatchRowAgainst(fm, cm, got)
 				matchRowAgainstScalar(fm, cm, want)
 				if !Equal(got, want) {
-					t.Fatalf("%dx%d density %.2f: wide kernel disagrees with scalar", rows, cols, density)
+					t.Fatalf("%dx%d density %.2f: batch kernel disagrees with scalar", rows, cols, density)
 				}
 			}
 		}
 	}
 }
 
-// TestMatchSingleAndMultiWordAgree pins the two portable kernels against each
-// other on the one width both can express semantically: a w-word kernel run
-// on <=64 columns must equal the single-word fast path.
+// TestMatchSingleAndMultiWordAgree pins the two kernels against each other
+// on the one width both can express semantically: a w-word kernel run on <=64
+// columns must equal the single-word fast path.
 func TestMatchSingleAndMultiWordAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -50,8 +52,8 @@ func TestMatchSingleAndMultiWordAgree(t *testing.T) {
 			}
 		}
 		single, multi := NewRow(rows), NewRow(rows)
-		matchSingleWordPortable(fm[0], cm.bits, single, rows)
-		matchMultiWordPortable(fm, cm.bits, multi, rows, cm.words)
+		matchSingleWord(fm[0], cm.bits, single, rows)
+		matchMultiWord(fm, cm.bits, multi, rows, cm.words)
 		if !Equal(single, multi) {
 			t.Fatalf("trial %d (%dx%d): single-word and multi-word kernels disagree", trial, rows, cols)
 		}
@@ -110,8 +112,8 @@ func TestTransposeUpdateDimMismatch(t *testing.T) {
 	TransposeUpdate(New(10, 20), m, NewRow(10), NewRow(20))
 }
 
-// FuzzMatchRowAgainst drives the wide kernel with fuzz-shaped matrices and
-// rows, checking it against the scalar reference. The corpus seeds cover the
+// FuzzMatchRowAgainst drives the batch kernels with fuzz-shaped matrices and
+// rows, checking them against the scalar reference. The corpus seeds cover the
 // word-boundary widths; the fuzzer mutates dimensions, density, and content.
 func FuzzMatchRowAgainst(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(44), 0.8, 0.3)
@@ -139,7 +141,7 @@ func FuzzMatchRowAgainst(f *testing.F) {
 		MatchRowAgainst(fm, cm, got)
 		matchRowAgainstScalar(fm, cm, want)
 		if !Equal(got, want) {
-			t.Fatalf("%dx%d: wide kernel disagrees with scalar reference", nr, nc)
+			t.Fatalf("%dx%d: batch kernel disagrees with scalar reference", nr, nc)
 		}
 	})
 }

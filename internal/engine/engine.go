@@ -179,8 +179,10 @@ type Stats struct {
 
 // Batch is one submitted group of jobs. Results carries each job's outcome
 // as it finishes (no ordering guarantee) and closes when the batch is done;
-// IDs lists the assigned job ids in spec order. ID names the batch for the
-// HTTP streaming endpoint (GET /v1/batches/{id}/events).
+// it is buffered to the batch size and each job sends exactly once, so a
+// caller that never reads it blocks no worker. IDs lists the assigned job
+// ids in spec order. ID names the batch for the HTTP streaming endpoint
+// (GET /v1/batches/{id}/events).
 type Batch struct {
 	ID      string
 	IDs     []string

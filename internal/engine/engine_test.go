@@ -300,6 +300,26 @@ func TestEngineRunsBatchAndSaturatesPool(t *testing.T) {
 	}
 }
 
+// TestUnreadResultsDoNotBlockWorkers pins the Batch.Results guarantee the
+// HTTP submit path relies on: a batch whose results nobody reads still runs
+// to completion on a single worker.
+func TestUnreadResultsDoNotBlockWorkers(t *testing.T) {
+	e := New(Options{Workers: 1, CacheSize: -1})
+	specs := make([]JobSpec, 8)
+	for i := range specs {
+		specs[i] = mcSpec(int64(i)) // distinct seeds: no dedup
+	}
+	if _, err := e.Submit(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	// Close returns once the queue has drained, or gives up after the bound
+	// if a worker is stuck sending a result.
+	e.CloseTimeout(30 * time.Second)
+	if st := e.Stats(); st.Completed != int64(len(specs)) || st.QueueDepth != 0 {
+		t.Fatalf("stats = %+v; want %d completed and an empty queue", st, len(specs))
+	}
+}
+
 func TestEngineResultsStreamInSpecOrderViaRun(t *testing.T) {
 	e := New(Options{Workers: 4})
 	defer e.Close()

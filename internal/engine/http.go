@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -88,12 +89,7 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	// instrumentation; the route label is the pattern, so cardinality is
 	// fixed regardless of path values.
 	handle := func(pattern, route string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := &statusWriter{ResponseWriter: w}
-			h(sw, r)
-			e.met.observeHTTP(route, sw.status(), time.Since(start))
-		})
+		mux.HandleFunc(pattern, metrics.InstrumentRoute(e.met.httpSeconds, e.met.httpRequests, route, h))
 	}
 	handle("POST /v1/jobs", "/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if limiter != nil {
@@ -146,10 +142,6 @@ func NewHTTPHandler(e *Engine) http.Handler {
 			}
 			return
 		}
-		go func() {
-			for range b.Results {
-			}
-		}()
 		e.traces.Record(&trace.Span{
 			Trace:  admitSC.Trace,
 			ID:     admitSC.Span,
@@ -202,44 +194,6 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	// series for /metrics would grow the exposition it is measuring.
 	mux.Handle("GET /metrics", e.met.reg.Handler())
 	return mux
-}
-
-// statusWriter records the response status for the per-route request
-// counters. It forwards Flush so the SSE endpoint still reaches the real
-// http.Flusher through the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// status is the effective response code: a handler that never wrote (the
-// client disconnected mid-long-poll) counts as 200, matching what net/http
-// would have sent.
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
 }
 
 // quotaRejected books one submission bounced by the per-client quota,

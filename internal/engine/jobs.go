@@ -311,7 +311,7 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 	// Samples run serially inside the job: the engine parallelizes across
 	// jobs, and per-sample rng derivation depends only on the seed and the
 	// sample index, so Psucc is the same however the jobs are scheduled.
-	sum, err := montecarlo.RunFactory(montecarlo.Options{
+	sum, err := montecarlo.Run(montecarlo.Options{
 		Samples: spec.Samples,
 		Seed:    spec.Seed,
 		Context: ctx,
@@ -326,8 +326,8 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 }
 
 // MappingTrial is the monte-carlo-yield job's trial, shared with the
-// experiment studies that map under their own algorithm variants. Each
-// batch owns one defect map of the layout's rows plus spareRows,
+// experiment studies that map under their own algorithm variants. Build one
+// per batch: it owns one defect map of the layout's rows plus spareRows,
 // regenerated in place per trial, and one mapping scratch, so the trial
 // loop is allocation-free in steady state; Regenerate consumes the rng
 // exactly like Generate, so a fresh map per trial would give the same
@@ -336,22 +336,20 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 // batch instead of counting as a failed sample that would silently depress
 // Psucc.
 func MappingTrial(l *xbar.Layout, spareRows int, params defect.Params,
-	algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) montecarlo.TrialFactory {
-	return func() montecarlo.Trial {
-		dm := defect.NewMap(l.Rows+spareRows, l.Cols)
-		scratch := mapping.NewScratch()
-		p, pErr := mapping.NewProblem(l, dm)
-		return func(i int, rng *rand.Rand) montecarlo.Outcome {
-			if pErr != nil {
-				return montecarlo.Outcome{Err: pErr}
-			}
-			if err := dm.Regenerate(params, rng); err != nil {
-				return montecarlo.Outcome{Err: err}
-			}
-			start := time.Now()
-			r := algo(p, scratch)
-			return montecarlo.Outcome{Success: r.Valid, Elapsed: time.Since(start)}
+	algo func(*mapping.Problem, *mapping.Scratch) mapping.Result) montecarlo.Trial {
+	dm := defect.NewMap(l.Rows+spareRows, l.Cols)
+	scratch := mapping.NewScratch()
+	p, pErr := mapping.NewProblem(l, dm)
+	return func(i int, rng *rand.Rand) montecarlo.Outcome {
+		if pErr != nil {
+			return montecarlo.Outcome{Err: pErr}
 		}
+		if err := dm.Regenerate(params, rng); err != nil {
+			return montecarlo.Outcome{Err: err}
+		}
+		start := time.Now()
+		r := algo(p, scratch)
+		return montecarlo.Outcome{Success: r.Valid, Elapsed: time.Since(start)}
 	}
 }
 

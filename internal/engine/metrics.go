@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -183,10 +182,4 @@ func (m *engineMetrics) countJob(k Kind, errStr string) {
 		outcome = "error"
 	}
 	m.jobs.With(kindLabel(k), outcome).Inc()
-}
-
-// observeHTTP records one finished request (or stream) on a route.
-func (m *engineMetrics) observeHTTP(route string, code int, d time.Duration) {
-	m.httpSeconds.With(route).Observe(d.Seconds())
-	m.httpRequests.With(route, strconv.Itoa(code)).Inc()
 }

@@ -63,41 +63,38 @@ func ClosedTolerance(circuit string, closedRates []float64, sparePairs, spareRow
 			// here and reused, so the trial loop is allocation-free in
 			// steady state.
 			fixed, col := 0, 0
-			summary, err := montecarlo.RunFactory(montecarlo.Options{Samples: samples, Seed: seed},
-				func() montecarlo.Trial {
-					dm := defect.NewMap(l.Rows+sr, spec.Cols())
-					// Fixed wiring: the design occupies the leading columns
-					// of each block (trial-invariant, built once per batch).
-					fixedAssign := identityAssignment(l, base)
-					fdm := defect.NewMap(dm.Rows, l.Cols)
-					fixedProblem, fpErr := mapping.NewProblem(l, fdm)
-					rowScratch := mapping.NewScratch()
-					colScratch := mapping.NewColumnScratch()
-					return func(i int, rng *rand.Rand) montecarlo.Outcome {
-						if fpErr != nil {
-							return montecarlo.Outcome{Err: fpErr}
-						}
-						if genErr := dm.Regenerate(defect.Params{POpen: openRate, PClosed: rate}, rng); genErr != nil {
-							return montecarlo.Outcome{Err: genErr}
-						}
-						mapping.ProjectDefectsInto(fdm, dm, spec, l, fixedAssign)
-						if mapping.HBAScratch(fixedProblem, rowScratch).Valid {
-							fixed++
-						}
-						res, caErr := mapping.ColumnAwareScratch(l, dm, spec, mapping.ColumnOptions{Seed: int64(i)}, colScratch)
-						if caErr != nil {
-							return montecarlo.Outcome{Err: caErr}
-						}
-						if res.Valid {
-							col++
-						}
-						return montecarlo.Outcome{Success: res.Valid}
+			dm := defect.NewMap(l.Rows+sr, spec.Cols())
+			// Fixed wiring: the design occupies the leading columns of each
+			// block (trial-invariant, built once per batch).
+			fixedAssign := identityAssignment(l, base)
+			fdm := defect.NewMap(dm.Rows, l.Cols)
+			fixedProblem, fpErr := mapping.NewProblem(l, fdm)
+			rowScratch := mapping.NewScratch()
+			colScratch := mapping.NewColumnScratch()
+			_, err := montecarlo.Run(montecarlo.Options{Samples: samples, Seed: seed},
+				func(i int, rng *rand.Rand) montecarlo.Outcome {
+					if fpErr != nil {
+						return montecarlo.Outcome{Err: fpErr}
 					}
+					if genErr := dm.Regenerate(defect.Params{POpen: openRate, PClosed: rate}, rng); genErr != nil {
+						return montecarlo.Outcome{Err: genErr}
+					}
+					mapping.ProjectDefectsInto(fdm, dm, spec, l, fixedAssign)
+					if mapping.HBAScratch(fixedProblem, rowScratch).Valid {
+						fixed++
+					}
+					res, caErr := mapping.ColumnAwareScratch(l, dm, spec, mapping.ColumnOptions{Seed: int64(i)}, colScratch)
+					if caErr != nil {
+						return montecarlo.Outcome{Err: caErr}
+					}
+					if res.Valid {
+						col++
+					}
+					return montecarlo.Outcome{Success: res.Valid}
 				})
 			if err != nil {
 				return nil, err
 			}
-			_ = summary
 			points = append(points, ClosedPoint{
 				ClosedRate:  rate,
 				SparePairs:  sp,

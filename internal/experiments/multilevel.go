@@ -143,7 +143,7 @@ func Ablation(circuit string, samples int, rate float64, seed int64) ([]Ablation
 	for _, v := range variants {
 		opt := v.opt
 		hba := func(p *mapping.Problem, _ *mapping.Scratch) mapping.Result { return mapping.HBAWith(p, opt) }
-		summary, err := montecarlo.RunFactory(montecarlo.Options{Samples: samples, Seed: seed},
+		summary, err := montecarlo.Run(montecarlo.Options{Samples: samples, Seed: seed},
 			engine.MappingTrial(l, 0, defect.Params{POpen: rate}, hba))
 		if err != nil {
 			return nil, err

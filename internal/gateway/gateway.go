@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -163,12 +164,7 @@ func (g *Gateway) prefsFor(spec engine.JobSpec) []string {
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, route string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := &statusWriter{ResponseWriter: w}
-			h(sw, r)
-			g.met.observeHTTP(route, sw.status(), time.Since(start))
-		})
+		mux.HandleFunc(pattern, metrics.InstrumentRoute(g.met.latency, g.met.requests, route, h))
 	}
 	handle("POST /v1/jobs", "/v1/jobs", g.serveSubmit)
 	handle("GET /v1/jobs/{id}", "/v1/jobs/{id}", g.serveJob)
@@ -659,39 +655,6 @@ func (g *Gateway) doJSON(ctx context.Context, method, url string, body []byte, s
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// statusWriter mirrors the engine's HTTP instrumentation wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,11 +1,6 @@
 package gateway
 
-import (
-	"strconv"
-	"time"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // gatewayMetrics is the gateway's own registry: a gateway process fronts
 // many members, so its numbers (retries, hedges, ejections, routing
@@ -52,9 +47,4 @@ func (m *gatewayMetrics) registerGauges(g *Gateway) {
 	m.reg.NewGaugeFunc("xbar_gateway_healthy_members",
 		"Members currently passing health checks.",
 		func() float64 { return float64(g.health.HealthyCount()) })
-}
-
-func (m *gatewayMetrics) observeHTTP(route string, code int, d time.Duration) {
-	m.requests.With(route, strconv.Itoa(code)).Inc()
-	m.latency.With(route).Observe(d.Seconds())
 }

@@ -569,3 +569,55 @@ func (r *Registry) Handler() http.Handler {
 		}
 	})
 }
+
+// InstrumentRoute wraps the handler of one HTTP route so that every request
+// observes its latency on seconds (labelled route) and counts its response
+// on requests (labelled route and code). route is the mux pattern, not the
+// request path, so label cardinality is fixed regardless of path values; a
+// streaming response observes its whole lifetime. The writer h receives
+// forwards Flush, so streaming handlers still reach the real http.Flusher.
+func InstrumentRoute(seconds *HistogramVec, requests *CounterVec, route string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w}
+		h(sw, r)
+		seconds.With(route).Observe(time.Since(start).Seconds())
+		requests.With(route, strconv.Itoa(sw.status())).Inc()
+	}
+}
+
+// statusWriter records the response status for InstrumentRoute.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *statusWriter) Flush() {
+	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
+// status is the effective response code: a handler that never wrote (the
+// client disconnected mid-long-poll) counts as 200, matching what net/http
+// would have sent.
+func (w *statusWriter) status() int {
+	if w.code == 0 {
+		return http.StatusOK
+	}
+	return w.code
+}

@@ -192,6 +192,51 @@ func TestHandler(t *testing.T) {
 	}
 }
 
+// TestInstrumentRoute pins the per-route HTTP instrumentation the engine
+// and gateway share: the recorded status is the one the handler set, 200
+// when it only wrote a body, never wrote at all, or set a status after the
+// body, and Flush reaches the underlying writer so streaming handlers keep
+// working.
+func TestInstrumentRoute(t *testing.T) {
+	r := NewRegistry()
+	seconds := r.NewHistogramVec("test_http_seconds", "Latency.", nil, "route")
+	requests := r.NewCounterVec("test_http_requests_total", "Requests.", "route", "code")
+	cases := []struct {
+		route string
+		h     http.HandlerFunc
+		code  string
+	}{
+		{"/explicit", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusTeapot) }, "418"},
+		{"/body", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok") }, "200"},
+		{"/silent", func(http.ResponseWriter, *http.Request) {}, "200"},
+		{"/late", func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "ok")
+			w.WriteHeader(http.StatusInternalServerError) // too late: 200 is on the wire
+		}, "200"},
+		{"/flush", func(w http.ResponseWriter, _ *http.Request) {
+			fl, ok := w.(http.Flusher)
+			if !ok {
+				t.Error("instrumented writer does not implement http.Flusher")
+				return
+			}
+			fl.Flush()
+		}, "200"},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		InstrumentRoute(seconds, requests, tc.route, tc.h)(rec, httptest.NewRequest("GET", tc.route, nil))
+		if got := requests.With(tc.route, tc.code).Value(); got != 1 {
+			t.Errorf("%s: requests{code=%s} = %d, want 1", tc.route, tc.code, got)
+		}
+		if got := seconds.With(tc.route).Count(); got != 1 {
+			t.Errorf("%s: latency observations = %d, want 1", tc.route, got)
+		}
+		if tc.route == "/flush" && !rec.Flushed {
+			t.Error("Flush did not reach the underlying writer")
+		}
+	}
+}
+
 func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dup_total", "")

@@ -7,7 +7,7 @@
 // reseeded from (Seed, sample index) before every trial, so a sample's
 // outcome depends on nothing but those two values. Studies that want many
 // cores run many batches at once through the compilation engine, one batch
-// per job, and get bit-identical Values.
+// per job, and get bit-identical summaries.
 package montecarlo
 
 import (
@@ -27,24 +27,19 @@ type Outcome struct {
 	// Elapsed is the portion of the trial the experiment wants timed
 	// (algorithm time only, excluding workload generation).
 	Elapsed time.Duration
-	// Value carries an experiment-specific measurement (e.g. area).
-	Value float64
 	// Err marks a trial that could not run at all — an invalid defect rate,
 	// a fabric smaller than the layout — as opposed to one that ran and
-	// failed. RunFactory returns the first such error in sample order
-	// instead of a Summary, so a bad input never reads as a low Psucc.
+	// failed. Run returns the first such error in sample order instead of a
+	// Summary, so a bad input never reads as a low Psucc.
 	Err error
 }
 
 // Trial runs one sample. The rng is derived deterministically from the
 // harness seed and the sample index, so trials are reproducible and order
-// independent.
+// independent. A batch calls one Trial for every sample, so a trial closure
+// can own private scratch state — preallocated defect maps, mapping
+// buffers — that is reused across the batch's samples.
 type Trial func(sample int, rng *rand.Rand) Outcome
-
-// TrialFactory builds the Trial for one batch, so a trial can own private
-// scratch state — preallocated defect maps, mapping buffers — that is
-// reused across the batch's samples.
-type TrialFactory func() Trial
 
 // Summary aggregates a batch.
 type Summary struct {
@@ -53,7 +48,6 @@ type Summary struct {
 	SuccessRate float64 // the paper's Psucc
 	TotalTime   time.Duration
 	MeanTime    time.Duration
-	Values      []float64 // per-sample Value, in sample order
 }
 
 // Options tunes a run.
@@ -67,20 +61,11 @@ type Options struct {
 	Context context.Context
 }
 
-// Run executes the batch.
+// Run executes the batch. Its memory does not grow with Samples: only the
+// success count and the total time are kept.
 func Run(opt Options, trial Trial) (Summary, error) {
 	if trial == nil {
 		return Summary{}, fmt.Errorf("montecarlo: nil trial")
-	}
-	return RunFactory(opt, func() Trial { return trial })
-}
-
-// RunFactory executes the batch with the Trial the factory builds, enabling
-// per-batch scratch state. Run is RunFactory with a factory that returns
-// the given Trial.
-func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
-	if factory == nil {
-		return Summary{}, fmt.Errorf("montecarlo: nil trial factory")
 	}
 	n := opt.Samples
 	if n == 0 {
@@ -89,24 +74,12 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 	if n < 0 {
 		return Summary{}, fmt.Errorf("montecarlo: negative sample count %d", n)
 	}
-	trial := factory()
-	if trial == nil {
-		return Summary{}, fmt.Errorf("montecarlo: factory returned nil trial")
-	}
 	// One rng for the whole batch, reseeded per sample: no per-trial
 	// source allocation.
 	rng := rand.New(rand.NewSource(0))
-	outcomes := make([]Outcome, n)
-	if err := runSerial(opt, trial, rng, outcomes); err != nil {
+	s := Summary{Samples: n}
+	if err := runSerial(opt, trial, rng, &s); err != nil {
 		return Summary{}, err
-	}
-	s := Summary{Samples: n, Values: make([]float64, n)}
-	for i, o := range outcomes {
-		if o.Success {
-			s.Successes++
-		}
-		s.TotalTime += o.Elapsed
-		s.Values[i] = o.Value
 	}
 	if n > 0 {
 		s.SuccessRate = float64(s.Successes) / float64(n)
@@ -115,14 +88,14 @@ func RunFactory(opt Options, factory TrialFactory) (Summary, error) {
 	return s, nil
 }
 
-// runSerial is the batch loop: reseed, run, record, once per sample,
+// runSerial is the batch loop: reseed, run, tally into s, once per sample,
 // stopping at the first trial that reports an Err. It is the hot loop of
 // every Monte Carlo experiment, so it is pinned allocation-free; per-trial
 // cost is the trial's own.
 //
 //xbar:hotpath
-func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) error {
-	for i := range outcomes {
+func runSerial(opt Options, trial Trial, rng *rand.Rand, s *Summary) error {
+	for i := 0; i < s.Samples; i++ {
 		if opt.Context != nil {
 			//xbar:allow hotpath-alloc cancellation poll is an interface call, not an allocation
 			if err := opt.Context.Err(); err != nil {
@@ -131,10 +104,14 @@ func runSerial(opt Options, trial Trial, rng *rand.Rand, outcomes []Outcome) err
 		}
 		rng.Seed(SampleSeed(opt.Seed, i))
 		//xbar:allow hotpath-alloc the trial callback is the experiment body; its own hot paths carry their own annotations
-		outcomes[i] = trial(i, rng)
-		if err := outcomes[i].Err; err != nil {
-			return err
+		o := trial(i, rng)
+		if o.Err != nil {
+			return o.Err
 		}
+		if o.Success {
+			s.Successes++
+		}
+		s.TotalTime += o.Elapsed
 	}
 	return nil
 }

@@ -4,13 +4,30 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
 
+// draws runs a batch whose trial records each sample's first rng draw, in
+// the order the samples run.
+func draws(t *testing.T, samples int, seed int64) []float64 {
+	t.Helper()
+	var got []float64
+	if _, err := Run(Options{Samples: samples, Seed: seed}, func(i int, rng *rand.Rand) Outcome {
+		got = append(got, rng.Float64())
+		return Outcome{}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestRunBasics(t *testing.T) {
+	var order []int
 	s, err := Run(Options{Samples: 100, Seed: 1}, func(i int, rng *rand.Rand) Outcome {
-		return Outcome{Success: i%2 == 0, Elapsed: time.Millisecond, Value: float64(i)}
+		order = append(order, i)
+		return Outcome{Success: i%2 == 0, Elapsed: time.Millisecond}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -21,8 +38,25 @@ func TestRunBasics(t *testing.T) {
 	if s.TotalTime != 100*time.Millisecond || s.MeanTime != time.Millisecond {
 		t.Errorf("timing = %v/%v", s.TotalTime, s.MeanTime)
 	}
-	if s.Values[7] != 7 {
-		t.Error("values must be in sample order")
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("sample %d ran at position %d; samples must run in order", got, i)
+		}
+	}
+}
+
+// TestRunMemoryIndependentOfSamples pins that a batch keeps no per-sample
+// state: a million no-op samples allocate less than one megabyte in total,
+// so a huge Samples value in a job spec costs time, not memory.
+func TestRunMemoryIndependentOfSamples(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(Options{Samples: 1_000_000}, func(i int, rng *rand.Rand) Outcome { return Outcome{} }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("1,000,000-sample batch allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 
@@ -61,18 +95,11 @@ func TestRunTrialErrorFailsBatch(t *testing.T) {
 }
 
 func TestRunDeterministicRNG(t *testing.T) {
-	collect := func() []float64 {
-		s, err := Run(Options{Samples: 50, Seed: 42},
-			func(i int, rng *rand.Rand) Outcome {
-				return Outcome{Value: rng.Float64()}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Values
+	seq := draws(t, 50, 42)
+	seq2 := draws(t, 50, 42)
+	if len(seq) != 50 || len(seq2) != 50 {
+		t.Fatalf("recorded %d and %d draws, want 50", len(seq), len(seq2))
 	}
-	seq := collect()
-	seq2 := collect()
 	for i := range seq {
 		if seq[i] != seq2[i] {
 			t.Fatal("reruns must be identical")
@@ -91,53 +118,35 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestRunFactoryPerWorkerState(t *testing.T) {
-	// The factory is invoked once per batch, and a trial's private scratch
-	// state persists across the batch's samples.
-	factoryCalls := 0
-	s, err := RunFactory(Options{Samples: 20, Seed: 3}, func() Trial {
-		factoryCalls++
-		claimed := 0
-		return func(i int, rng *rand.Rand) Outcome {
-			claimed++
-			return Outcome{Value: rng.Float64(), Success: claimed > 0}
-		}
+	// A trial's private scratch state persists across the batch's samples,
+	// and owning it does not change the draws.
+	var got []float64
+	claimed := 0
+	s, err := Run(Options{Samples: 20, Seed: 3}, func(i int, rng *rand.Rand) Outcome {
+		claimed++
+		got = append(got, rng.Float64())
+		return Outcome{Success: claimed == i+1}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if factoryCalls != 1 {
-		t.Fatalf("serial run built %d trials, want 1", factoryCalls)
+	if s.Successes != 20 {
+		t.Fatalf("trial state persisted through %d of 20 samples", s.Successes)
 	}
-	// Same seeds through Run must reproduce the same values.
-	plain, err := Run(Options{Samples: 20, Seed: 3}, func(i int, rng *rand.Rand) Outcome {
-		return Outcome{Value: rng.Float64()}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.Values {
-		if s.Values[i] != plain.Values[i] {
-			t.Fatalf("sample %d: factory path diverged from plain Run", i)
+	// Same seeds through a stateless trial must reproduce the same draws.
+	plain := draws(t, 20, 3)
+	for i := range got {
+		if got[i] != plain[i] {
+			t.Fatalf("sample %d: stateful trial diverged from a stateless one", i)
 		}
-	}
-	if _, err := RunFactory(Options{Samples: 1}, nil); err == nil {
-		t.Error("nil factory must fail")
-	}
-	if _, err := RunFactory(Options{Samples: 1}, func() Trial { return nil }); err == nil {
-		t.Error("nil trial from factory must fail")
 	}
 }
 
 func TestRunSamplesIndependentOfNeighbours(t *testing.T) {
 	// The rng of sample i must not depend on how many samples run.
-	small, _ := Run(Options{Samples: 5, Seed: 7}, func(i int, rng *rand.Rand) Outcome {
-		return Outcome{Value: rng.Float64()}
-	})
-	big, _ := Run(Options{Samples: 50, Seed: 7}, func(i int, rng *rand.Rand) Outcome {
-		return Outcome{Value: rng.Float64()}
-	})
+	small, big := draws(t, 5, 7), draws(t, 50, 7)
 	for i := 0; i < 5; i++ {
-		if small.Values[i] != big.Values[i] {
+		if small[i] != big[i] {
 			t.Fatalf("sample %d changed with batch size", i)
 		}
 	}
