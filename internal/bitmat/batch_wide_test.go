@@ -36,6 +36,39 @@ func TestMatchRowAgainstWidths(t *testing.T) {
 	}
 }
 
+// TestMatchSingleWordVariantsAgree pins every implementation of the
+// single-word match — the single-word kernel, the multi-word kernel run at one
+// word and the scalar reference — against each other, bit for bit, on full
+// 64-bit CM words. Its row counts mix the single-word kernel's 64-row body,
+// 8-row tail and one-row tail, its densities run from never-matching to
+// always-matching, and the FM row's popcount varies.
+func TestMatchSingleWordVariantsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, rows := range []int{1, 5, 8, 9, 16, 63, 64, 65, 100, 128, 129, 191, 300} {
+		for _, density := range []float64{0, 0.3, 0.7, 1} {
+			cm := New(rows, 64)
+			for i := range cm.bits {
+				if rng.Float64() < density {
+					cm.bits[i] = ^uint64(0)
+				} else {
+					cm.bits[i] = rng.Uint64()
+				}
+			}
+			fm := Row{rng.Uint64() >> (rng.Intn(63) + 1)} // vary the popcount of fm
+			single, multi, want := NewRow(rows), NewRow(rows), NewRow(rows)
+			matchSingleWord(fm[0], cm.bits, single, rows)
+			matchMultiWord(fm, cm.bits, multi, rows, 1)
+			matchRowAgainstScalar(fm, cm, want)
+			if !Equal(single, want) {
+				t.Fatalf("rows=%d density=%.1f: single-word kernel disagrees with scalar", rows, density)
+			}
+			if !Equal(multi, want) {
+				t.Fatalf("rows=%d density=%.1f: one-word multi-word kernel disagrees with scalar", rows, density)
+			}
+		}
+	}
+}
+
 // TestMatchSingleAndMultiWordAgree pins the two kernels against each other
 // on the one width both can express semantically: a w-word kernel run on <=64
 // columns must equal the single-word fast path.
