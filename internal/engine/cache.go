@@ -35,9 +35,6 @@ func newResultCache(size, shards int) *resultCache {
 	if size <= 0 {
 		size = DefaultCacheSize
 	}
-	if shards <= 0 {
-		shards = defaultCacheShards
-	}
 	if shards > size {
 		shards = size
 	}

@@ -207,7 +207,7 @@ func (e *Engine) ClusterState() ClusterState {
 		Self:       e.opt.ClusterSelf,
 		Role:       RoleSingle,
 		LastSeq:    lastSeq,
-		ReplCursor: e.stReplCursor.Load(),
+		ReplCursor: uint64(e.met.replCursor.Value()),
 	}
 	if e.cluster == nil {
 		if e.opt.FollowPeer != "" {
@@ -327,7 +327,7 @@ func (c *clusterNode) elect() {
 	c.mu.Lock()
 	myEpoch, myLeader := c.epoch, c.leader
 	c.mu.Unlock()
-	cursor := c.e.stReplCursor.Load()
+	cursor := uint64(c.e.met.replCursor.Value())
 	for _, st := range states {
 		if st.Role == RoleLeader && st.Epoch >= myEpoch {
 			// A live leader claim at our epoch or newer — including the
@@ -367,7 +367,7 @@ func (c *clusterNode) promote(epoch uint64) {
 	c.e.met.clusterIsLeader.Set(1)
 	c.e.met.clusterFailovers.Inc()
 	slog.Warn("promoting to leader", "component", "cluster",
-		"member", c.self, "epoch", epoch, "cursor", c.e.stReplCursor.Load())
+		"member", c.self, "epoch", epoch, "cursor", c.e.met.replCursor.Value())
 	c.appendLease()
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,25 +25,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes an engine.
+// Options tunes an engine. Job state retention is not an option: the batch
+// registry behind Job, GET /v1/jobs/{id} and the SSE stream holds every
+// unfinished batch plus as many of the newest finished batches as fit in
+// 16,384 jobs in all (maxRetainedJobs).
 type Options struct {
 	// Workers bounds concurrent job execution; zero means GOMAXPROCS.
 	Workers int
 	// CacheSize is the result cache entry budget: zero means
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// CacheShards splits the cache (zero means 16).
-	CacheShards int
 	// DefaultTimeout bounds each job's execution when the job doesn't set
 	// its own; zero means no limit. Cooperative kernels (Monte Carlo)
 	// abort at the deadline; the uninterruptible synthesis/map kernels
 	// run to completion on their worker and report a late result, so
 	// concurrent compute never exceeds Workers.
 	DefaultTimeout time.Duration
-	// StatusLimit bounds the in-memory job status store used by the HTTP
-	// service; the oldest finished jobs are evicted first. Zero means
-	// 16384.
-	StatusLimit int
 	// MaxQueuedJobs bounds jobs admitted but not yet finished across all
 	// batches; Submit fails with ErrOverloaded (retryable) beyond it, and
 	// with ErrBatchTooLarge (not retryable) for a single batch bigger than
@@ -74,9 +72,6 @@ type Options struct {
 	// JournalMaxRecords keeps only the newest this-many live journal
 	// records at compaction; zero keeps all.
 	JournalMaxRecords int
-	// JournalNoSync skips the per-commit fsync (tests and benchmarks
-	// only; production journals must sync).
-	JournalNoSync bool
 	// FollowPeer, when non-empty, runs this engine as a follower of the
 	// peer xbarserver at this base URL: the peer's journal is pulled over
 	// GET /v1/journal/tail and replayed into the local cache (and local
@@ -147,7 +142,10 @@ type JobStatus struct {
 	Result *JobResult `json:"result,omitempty"`
 }
 
-// Stats is a snapshot of engine counters.
+// Stats is a snapshot of engine counters. Every count is read from the
+// engine's metrics registry (Engine.Metrics), so /healthz and /metrics
+// report one number per event. MaxConcurrent is the high-water mark of
+// xbar_engine_active_workers; the other fields are live levels.
 type Stats struct {
 	Workers       int   `json:"workers"`
 	Submitted     int64 `json:"submitted"`
@@ -182,7 +180,10 @@ type Stats struct {
 // it is buffered to the batch size and each job sends exactly once, so a
 // caller that never reads it blocks no worker. IDs lists the assigned job
 // ids in spec order. ID names the batch for the HTTP streaming endpoint
-// (GET /v1/batches/{id}/events).
+// (GET /v1/batches/{id}/events). The stream and each job's status (Job,
+// GET /v1/jobs/{id}) stay available while the batch is unfinished or among
+// the newest finished batches that fit in 16,384 jobs in all; after that
+// they answer 404.
 type Batch struct {
 	ID      string
 	IDs     []string
@@ -203,13 +204,12 @@ type Engine struct {
 
 	mu          sync.Mutex
 	closed      bool
-	status      map[string]*JobStatus
-	order       []string
 	inflight    map[string]*flight
-	batches     map[string]*batchState
-	batchOrder  []string
-	openBatches int // batches submitted but not fully finished
-	queuedJobs  int // jobs admitted but not yet finished
+	batches     map[string]*batchState // the registry: every tracked batch by id
+	batchOrder  []*batchState          // tracked batches, oldest first
+	jobs        map[string]jobRef      // job id -> its tracked batch and position
+	openBatches int                    // batches submitted but not fully finished
+	queuedJobs  int                    // jobs admitted but not yet finished
 
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
@@ -222,19 +222,9 @@ type Engine struct {
 
 	streamStop chan struct{} // guarded by mu; closed and replaced by StopStreams
 
-	nextID        atomic.Int64
-	nextBatch     atomic.Int64
-	stSubmitted   atomic.Int64
-	stCompleted   atomic.Int64
-	stCacheHits   atomic.Int64
-	stErrors      atomic.Int64
-	stActive      atomic.Int64
-	stMaxActive   atomic.Int64
-	stReplicated  atomic.Int64
-	stReplCursor  atomic.Uint64
-	stDeduped     atomic.Int64
-	stRejected    atomic.Int64
-	stQuotaReject atomic.Int64
+	nextID    atomic.Int64
+	nextBatch atomic.Int64
+	maxActive atomic.Int64 // high-water mark of met.activeWorkers (Stats.MaxConcurrent)
 }
 
 // flight is one in-progress execution of a job identity, shared by every
@@ -250,6 +240,7 @@ type flight struct {
 
 type task struct {
 	id    string
+	pos   int // the job's position in its batch (spec order)
 	spec  JobSpec
 	ctx   context.Context
 	out   chan JobResult
@@ -258,45 +249,24 @@ type task struct {
 	enq   time.Time // when the task entered the queue (queue-wait metric)
 }
 
-// traceSC is the batch span context per-job spans parent under, or the
-// zero context for a batch submitted before tracing initialized.
-func (t *task) traceSC() trace.SpanContext {
-	if t.batch == nil {
-		return trace.SpanContext{}
-	}
-	return t.batch.sc
-}
-
-// traceID is the pre-rendered trace id string for metric exemplars ("" for
-// an untraced batch).
-func (t *task) traceID() string {
-	if t.batch == nil {
-		return ""
-	}
-	return t.batch.traceID
-}
-
 // New starts an engine. Callers must Close it to release the workers.
 func New(opt Options) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.StatusLimit <= 0 {
-		opt.StatusLimit = 16384
-	}
 	e := &Engine{
 		opt:        opt,
 		queue:      make(chan *task, 4*opt.Workers),
-		status:     make(map[string]*JobStatus),
 		inflight:   make(map[string]*flight),
 		batches:    make(map[string]*batchState),
+		jobs:       make(map[string]jobRef),
 		streamStop: make(chan struct{}),
 		met:        newEngineMetrics(),
 		traces:     trace.NewStore(trace.Options{SampleRate: opt.TraceSampleRate}),
 	}
 	e.registerEngineGauges()
 	if opt.CacheSize >= 0 {
-		e.cache = newResultCache(opt.CacheSize, opt.CacheShards)
+		e.cache = newResultCache(opt.CacheSize, defaultCacheShards)
 	}
 	if e.cache != nil && opt.JournalDir != "" {
 		e.openJournal()
@@ -344,27 +314,26 @@ func (e *Engine) Submit(ctx context.Context, specs []JobSpec) (*Batch, error) {
 	}
 	if e.opt.MaxQueuedJobs > 0 && len(specs) > e.opt.MaxQueuedJobs {
 		e.mu.Unlock()
-		e.rejected("batch_too_large")
+		e.met.rejects.With("batch_too_large").Inc()
 		return nil, fmt.Errorf("%w: batch of %d jobs > queue limit %d (split the batch)",
 			ErrBatchTooLarge, len(specs), e.opt.MaxQueuedJobs)
 	}
 	if e.opt.MaxBatches > 0 && e.openBatches >= e.opt.MaxBatches {
 		e.mu.Unlock()
-		e.rejected("overloaded")
+		e.met.rejects.With("overloaded").Inc()
 		return nil, fmt.Errorf("%w: %d batches open (limit %d)",
 			ErrOverloaded, e.opt.MaxBatches, e.opt.MaxBatches)
 	}
 	if e.opt.MaxQueuedJobs > 0 && e.queuedJobs+len(specs) > e.opt.MaxQueuedJobs {
 		queued := e.queuedJobs
 		e.mu.Unlock()
-		e.rejected("overloaded")
+		e.met.rejects.With("overloaded").Inc()
 		return nil, fmt.Errorf("%w: %d jobs queued and batch adds %d (limit %d)",
 			ErrOverloaded, queued, len(specs), e.opt.MaxQueuedJobs)
 	}
 	ids := make([]string, len(specs))
 	for i := range specs {
 		ids[i] = fmt.Sprintf("j%08d", e.nextID.Add(1))
-		e.recordLocked(ids[i])
 	}
 	bs := newBatchState(fmt.Sprintf("b%08d", e.nextBatch.Add(1)), ids)
 	// Every batch gets a trace: the caller's span context (HTTP admission,
@@ -383,7 +352,7 @@ func (e *Engine) Submit(ctx context.Context, specs []JobSpec) (*Batch, error) {
 	e.queuedJobs += len(specs)
 	e.submitWG.Add(1)
 	e.mu.Unlock()
-	e.stSubmitted.Add(int64(len(specs)))
+	e.met.submitted.Add(int64(len(specs)))
 
 	out := make(chan JobResult, len(specs))
 	var wg sync.WaitGroup
@@ -391,7 +360,7 @@ func (e *Engine) Submit(ctx context.Context, specs []JobSpec) (*Batch, error) {
 	go func() {
 		defer e.submitWG.Done()
 		for i := range specs {
-			t := &task{id: ids[i], spec: specs[i], ctx: ctx, out: out, wg: &wg, batch: bs, enq: time.Now()}
+			t := &task{id: ids[i], pos: i, spec: specs[i], ctx: ctx, out: out, wg: &wg, batch: bs, enq: time.Now()}
 			select {
 			case e.queue <- t:
 			case <-ctx.Done():
@@ -423,9 +392,9 @@ func (e *Engine) Submit(ctx context.Context, specs []JobSpec) (*Batch, error) {
 
 // Run submits the batch and blocks until every job finishes (or is
 // cancelled), returning results in spec order. The returned results are
-// the batch's only record: Run drops its job statuses and stream record
-// from the stores the HTTP service polls, so an in-process caller looping
-// over Run (the experiment studies) leaves no per-job state behind.
+// the batch's only record: Run drops the batch from the registry the HTTP
+// service reads, so an in-process caller looping over Run (the experiment
+// studies) leaves no per-job state behind.
 func (e *Engine) Run(ctx context.Context, specs []JobSpec) ([]JobResult, error) {
 	b, err := e.Submit(ctx, specs)
 	if err != nil {
@@ -439,47 +408,43 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) ([]JobResult, error) 
 	for r := range b.Results {
 		out[pos[r.ID]] = r
 	}
-	// Every job has finished (its status was set before its result was
-	// sent), so nothing writes these entries again. The ids left in the
-	// insertion orders are pruned as missing entries once over the limit.
+	// Every job has published, so nothing writes the batch again. A
+	// concurrent Submit may already have evicted it.
 	e.mu.Lock()
-	for _, id := range b.IDs {
-		delete(e.status, id)
+	if i := slices.IndexFunc(e.batchOrder, func(bs *batchState) bool { return bs.id == b.ID }); i >= 0 {
+		e.dropBatchLocked(e.batchOrder[i])
+		e.batchOrder = slices.Delete(e.batchOrder, i, i+1)
 	}
-	delete(e.batches, b.ID)
 	e.mu.Unlock()
 	return out, nil
 }
 
-// Job reports the status of a submitted job by id.
+// Job reports the status of a submitted job by id, read from its batch in
+// the registry.
 func (e *Engine) Job(id string) (JobStatus, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.status[id]
+	ref, ok := e.jobs[id]
+	e.mu.Unlock()
 	if !ok {
 		return JobStatus{}, false
 	}
-	cp := *st
-	if st.Result != nil {
-		r := *st.Result
-		cp.Result = &r
-	}
-	return cp, true
+	return ref.batch.job(ref.pos), true
 }
 
-// Stats snapshots the engine counters.
+// Stats snapshots the engine counters from the metrics registry.
 func (e *Engine) Stats() Stats {
+	m := e.met
 	s := Stats{
 		Workers:       e.opt.Workers,
-		Submitted:     e.stSubmitted.Load(),
-		Completed:     e.stCompleted.Load(),
-		CacheHits:     e.stCacheHits.Load(),
-		Errors:        e.stErrors.Load(),
-		MaxConcurrent: e.stMaxActive.Load(),
-		Replicated:    e.stReplicated.Load(),
-		Deduped:       e.stDeduped.Load(),
-		Rejected:      e.stRejected.Load(),
-		QuotaRejected: e.stQuotaReject.Load(),
+		Submitted:     m.submitted.Value(),
+		Completed:     m.jobs.Sum("", ""),
+		CacheHits:     m.cacheHits.Value(),
+		Errors:        m.jobs.Sum("outcome", "error"),
+		MaxConcurrent: e.maxActive.Load(),
+		Replicated:    m.replApplied.Value(),
+		Deduped:       m.dedup.Value(),
+		Rejected:      m.rejects.Sum("", ""),
+		QuotaRejected: m.quotaRejects.Sum("", ""),
 	}
 	if e.cache != nil {
 		s.CacheEntries = e.cache.Len()
@@ -574,30 +539,20 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 func (e *Engine) worker() {
 	defer e.workerWG.Done()
 	for t := range e.queue {
-		a := e.stActive.Add(1)
+		e.met.activeWorkers.Inc()
+		a := e.met.activeWorkers.Value()
 		for {
-			p := e.stMaxActive.Load()
-			if a <= p || e.stMaxActive.CompareAndSwap(p, a) {
+			p := e.maxActive.Load()
+			if a <= p || e.maxActive.CompareAndSwap(p, a) {
 				break
 			}
 		}
 		picked := time.Now()
-		e.met.observeQueueWait(t.spec.Kind, picked.Sub(t.enq), t.traceID())
-		if sc := t.traceSC(); sc.Valid() {
-			e.traces.Record(&trace.Span{
-				Trace:  sc.Trace,
-				ID:     trace.NewSpanID(),
-				Parent: sc.Span,
-				Name:   spanQueue,
-				Start:  t.enq.UnixNano(),
-				End:    picked.UnixNano(),
-				JobID:  t.id,
-				Kind:   string(t.spec.Kind),
-			})
-		}
-		e.setRunning(t.id)
+		e.met.observeQueueWait(t.spec.Kind, picked.Sub(t.enq), t.batch.traceID)
+		e.recordJobSpan(t, spanQueue, t.enq, picked, "")
+		t.batch.setRunning(t.pos)
 		res := e.runTask(t)
-		e.stActive.Add(-1)
+		e.met.activeWorkers.Dec()
 		e.finish(t, res)
 	}
 }
@@ -618,7 +573,6 @@ func (e *Engine) runTask(t *task) JobResult {
 		}
 		if e.cache != nil {
 			if r, ok := e.cache.Get(key); ok {
-				e.stCacheHits.Add(1)
 				e.met.cacheHits.Inc()
 				r.ID, r.CacheHit, r.Elapsed = t.id, true, 0
 				e.recordJobSpan(t, spanCache, time.Now(), time.Now(), "")
@@ -631,14 +585,12 @@ func (e *Engine) runTask(t *task) JobResult {
 			// Identical work is already running on another worker: wait
 			// for it instead of computing it twice.
 			e.mu.Unlock()
-			e.stDeduped.Add(1)
 			e.met.dedup.Inc()
 			joinStart := time.Now()
 			select {
 			case <-fl.done:
 				e.recordJobSpan(t, spanDedup, joinStart, time.Now(), fl.res.Err)
 				if fl.res.Err == "" {
-					e.stCacheHits.Add(1)
 					e.met.cacheHits.Inc()
 					r := fl.res
 					r.ID, r.CacheHit, r.Elapsed = t.id, true, 0
@@ -670,7 +622,7 @@ func (e *Engine) runTask(t *task) JobResult {
 		execStart := time.Now()
 		fl.res = Execute(ctx, t.spec)
 		e.recordJobSpan(t, execSpanName(t.spec.Kind), execStart, time.Now(), fl.res.Err)
-		e.met.observeJob(t.spec.Kind, fl.res.Elapsed, t.traceID())
+		e.met.observeJob(t.spec.Kind, fl.res.Elapsed, t.batch.traceID)
 		fl.ctxFailed = fl.res.Err != "" && ctx.Err() != nil
 		if fl.res.Err == "" && e.cache != nil {
 			// Durable before published: the journal fsync completes before
@@ -694,37 +646,23 @@ func (e *Engine) runTask(t *task) JobResult {
 	}
 }
 
+// finish stores the job's result once, in its batch, where the stream and
+// Job read it, then sends it on the batch's Results channel.
 func (e *Engine) finish(t *task, r JobResult) {
-	if r.Err != "" {
-		e.stErrors.Add(1)
-	}
-	e.stCompleted.Add(1)
-	e.met.countJob(t.spec.Kind, r.Err)
 	e.mu.Lock()
-	if st, ok := e.status[t.id]; ok {
-		st.Status = StatusDone
-		rc := r
-		st.Result = &rc
-	}
 	e.queuedJobs--
 	e.mu.Unlock()
-	if t.batch != nil {
-		pubStart := time.Now()
-		t.batch.publish(r)
-		e.recordJobSpan(t, spanPublish, pubStart, time.Now(), r.Err)
-	}
+	pubStart := time.Now()
+	t.batch.publish(t.pos, r)
+	e.recordJobSpan(t, spanPublish, pubStart, time.Now(), r.Err)
+	e.met.countJob(t.spec.Kind, r.Err)
 	t.out <- r
 	t.wg.Done()
 }
 
 // recordJobSpan records one per-job lifecycle span under the batch span.
-// A no-op for untraced batches (library submissions before tracing, tests
-// that build tasks by hand).
 func (e *Engine) recordJobSpan(t *task, name trace.Name, start, end time.Time, errStr string) {
-	sc := t.traceSC()
-	if !sc.Valid() {
-		return
-	}
+	sc := t.batch.sc
 	e.traces.Record(&trace.Span{
 		Trace:  sc.Trace,
 		ID:     trace.NewSpanID(),
@@ -736,65 +674,6 @@ func (e *Engine) recordJobSpan(t *task, name trace.Name, start, end time.Time, e
 		Kind:   string(t.spec.Kind),
 		Err:    errStr,
 	})
-}
-
-func (e *Engine) setRunning(id string) {
-	e.mu.Lock()
-	if st, ok := e.status[id]; ok && st.Status == StatusPending {
-		st.Status = StatusRunning
-	}
-	e.mu.Unlock()
-}
-
-// recordLocked registers a pending job in the status store and evicts the
-// oldest finished jobs beyond the limit. Live jobs are never dropped, but
-// they don't stall eviction either: a stuck job at the head of the order
-// is skipped and the finished jobs behind it are evicted, so the store
-// stays bounded under sustained traffic. Caller holds e.mu.
-func (e *Engine) recordLocked(id string) {
-	e.status[id] = &JobStatus{ID: id, Status: StatusPending}
-	e.order = append(e.order, id)
-	e.order = pruneOrder(e.order, e.opt.StatusLimit,
-		func(id string) bool {
-			st, ok := e.status[id]
-			return !ok || st.Status == StatusDone
-		},
-		func(id string) { delete(e.status, id) })
-}
-
-// pruneOrder is the shared eviction loop of the bounded insertion-ordered
-// stores (job statuses, batch registry): entries beyond limit are evicted
-// oldest first, but only when evictable reports they are finished — live
-// entries are kept (and skipped, so one stuck entry at the head can't pin
-// the store). The usual case — a finished head — stays O(1); compaction
-// only runs when live entries sit in front of evictable ones.
-func pruneOrder(order []string, limit int, evictable func(id string) bool, evict func(id string)) []string {
-	excess := len(order) - limit
-	for excess > 0 && evictable(order[0]) {
-		evict(order[0])
-		order = order[1:]
-		excess--
-	}
-	if excess <= 0 {
-		return order
-	}
-	kept := order[:0]
-	for _, id := range order {
-		if excess > 0 && evictable(id) {
-			evict(id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	return kept
-}
-
-// rejected books one admission-control refusal under both counter systems
-// (Stats and /metrics).
-func (e *Engine) rejected(reason string) {
-	e.stRejected.Add(1)
-	e.met.rejects.With(reason).Inc()
 }
 
 func errResult(t *task, err error) JobResult {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -126,35 +128,129 @@ func TestMonteCarloSetupErrorFailsJob(t *testing.T) {
 	}
 }
 
-// TestStatusEvictionSkipsLiveJobs pins the store-growth fix: one stuck live
-// job at the head of the eviction order must not stop finished jobs behind
-// it from being evicted.
+// TestStatusEvictionSkipsLiveJobs pins the registry-growth fix: one stuck
+// live batch at the head of the eviction order must not stop the finished
+// batches behind it from being evicted, and is itself evicted once it
+// finishes.
 func TestStatusEvictionSkipsLiveJobs(t *testing.T) {
-	e := New(Options{Workers: 1, StatusLimit: 3})
+	e := New(Options{Workers: 1})
 	defer e.Close()
+	// registry reports the jobs the eviction order holds and whether the
+	// stuck batch is still tracked, after checking that the order, the
+	// batch lookup and the job index agree.
+	registry := func() (held int, stuckKept bool) {
+		t.Helper()
+		e.mu.Lock()
+		agree := len(e.batches) == len(e.batchOrder)
+		for _, b := range e.batchOrder {
+			agree = agree && e.batches[b.id] == b
+			held += len(b.jobIDs)
+		}
+		agree = agree && len(e.jobs) == held
+		_, stuckKept = e.batches["stuck"]
+		e.mu.Unlock()
+		if !agree {
+			t.Fatal("batch order, batch lookup and job index disagree")
+		}
+		return held, stuckKept
+	}
+	register := func(id string, n int) *batchState {
+		ids := make([]string, n)
+		for j := range ids {
+			ids[j] = fmt.Sprintf("%s-j%04d", id, j)
+		}
+		b := newBatchState(id, ids)
+		e.mu.Lock()
+		e.registerBatchLocked(b)
+		e.mu.Unlock()
+		return b
+	}
+	finish := func(b *batchState) {
+		for j, id := range b.jobIDs {
+			b.publish(j, JobResult{ID: id})
+		}
+	}
+
+	stuck := register("stuck", 1) // stays pending: a live batch pinned at the head
+	for i := 0; i < 20; i++ {
+		finish(register(fmt.Sprintf("b%02d", i), MaxBatchJobs))
+	}
+	held, kept := registry()
+	if held > maxRetainedJobs+len(stuck.jobIDs) {
+		t.Fatalf("registry grew to %d jobs despite the bound %d plus 1 live job", held, maxRetainedJobs)
+	}
+	if !kept {
+		t.Fatal("live batch must never be evicted")
+	}
+	if st, ok := e.Job(stuck.jobIDs[0]); !ok || st.Status != StatusPending {
+		t.Fatalf("stuck job = %+v, %v; want pending", st, ok)
+	}
+
+	// Once the stuck batch finishes it is the first to go.
+	finish(stuck)
+	register("after", MaxBatchJobs)
+	held, kept = registry()
+	if kept || held > maxRetainedJobs {
+		t.Fatalf("finished head must be evicted (kept=%v, %d jobs held)", kept, held)
+	}
+	if _, ok := e.Job(stuck.jobIDs[0]); ok {
+		t.Fatal("evicted job still resolves")
+	}
+}
+
+// TestRegistryBoundsRetainedJobs: the registry's one bound counts jobs, not
+// batches, so a few drained maximum-size batches already evict the oldest
+// one. Its stream and its jobs then answer 404 over HTTP, the newest batch
+// still answers, and the registry holds at most maxRetainedJobs finished
+// jobs.
+func TestRegistryBoundsRetainedJobs(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	srv := httptest.NewServer(NewHTTPHandler(e))
+	defer srv.Close()
+
+	specs := make([]JobSpec, MaxBatchJobs)
+	for i := range specs {
+		specs[i] = JobSpec{Kind: SynthTwoLevel, Benchmark: "rd53"} // all but the first are cache hits
+	}
+	var batches []*Batch
+	for i := 0; i < 5; i++ {
+		b, err := e.Submit(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range b.Results {
+			if r.Err != "" {
+				t.Fatalf("job %s: %s", r.ID, r.Err)
+			}
+		}
+		batches = append(batches, b)
+	}
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	oldest, newest := batches[0], batches[len(batches)-1]
+	for path, want := range map[string]int{
+		"/v1/batches/" + oldest.ID + "/events": http.StatusNotFound,
+		"/v1/jobs/" + oldest.IDs[7]:            http.StatusNotFound,
+		"/v1/batches/" + newest.ID + "/events": http.StatusOK,
+		"/v1/jobs/" + newest.IDs[7]:            http.StatusOK,
+	} {
+		if got := status(path); got != want {
+			t.Errorf("GET %s = %d, want %d", path, got, want)
+		}
+	}
 	e.mu.Lock()
-	e.recordLocked("stuck") // stays pending: a live job pinned at the head
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("done%02d", i)
-		e.recordLocked(id)
-		e.status[id].Status = StatusDone
-	}
-	if len(e.order) > 3 || len(e.status) > 3 {
-		e.mu.Unlock()
-		t.Fatalf("status store grew to %d/%d entries despite limit 3", len(e.order), len(e.status))
-	}
-	if _, ok := e.status["stuck"]; !ok {
-		e.mu.Unlock()
-		t.Fatal("live job must never be evicted")
-	}
-	// Once the stuck job finishes it becomes evictable again.
-	e.status["stuck"].Status = StatusDone
-	e.recordLocked("after")
-	_, stuckLeft := e.status["stuck"]
-	n := len(e.order)
+	held := len(e.jobs)
 	e.mu.Unlock()
-	if stuckLeft || n > 3 {
-		t.Fatalf("finished head must be evicted (left=%v, order=%d)", stuckLeft, n)
+	if held > maxRetainedJobs {
+		t.Errorf("registry holds %d finished jobs, bound %d", held, maxRetainedJobs)
 	}
 }
 
@@ -377,28 +473,23 @@ func TestEngineCacheHitAndSharedDedup(t *testing.T) {
 }
 
 func TestEngineCacheEviction(t *testing.T) {
-	// One shard of capacity 2, single worker for deterministic LRU order.
-	e := New(Options{Workers: 1, CacheSize: 2, CacheShards: 1})
-	defer e.Close()
-	run := func(seed int64) JobResult {
-		r, err := e.Run(context.Background(), []JobSpec{mcSpec(seed)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r[0]
-	}
-	run(1)
-	run(2)
-	run(3) // evicts seed 1
-	if got := e.Stats().CacheEntries; got != 2 {
+	// One shard of capacity 2, so LRU order is global.
+	c := newResultCache(2, 1)
+	c.Put("1", JobResult{ID: "1"})
+	c.Put("2", JobResult{ID: "2"})
+	c.Put("3", JobResult{ID: "3"}) // evicts 1
+	if got := c.Len(); got != 2 {
 		t.Fatalf("cache entries = %d, want 2", got)
 	}
-	if r := run(1); r.CacheHit {
-		t.Fatal("seed 1 must have been evicted (LRU)")
+	if _, ok := c.Get("1"); ok {
+		t.Fatal("1 must have been evicted (LRU)")
 	}
-	// Seed 3 was just re-inserted... seed 1's re-run evicted seed 2; 3 stays.
-	if r := run(3); !r.CacheHit {
-		t.Fatal("seed 3 must still be cached")
+	c.Put("1", JobResult{ID: "1"}) // evicts 2, the least recently used
+	if _, ok := c.Get("3"); !ok {
+		t.Fatal("3 must still be cached")
+	}
+	if _, ok := c.Get("2"); ok {
+		t.Fatal("2 must have been evicted (LRU)")
 	}
 }
 
@@ -485,8 +576,8 @@ func TestEngineSubmitValidation(t *testing.T) {
 }
 
 // TestRunLeavesNoJobState: Run's results are the batch's only record, so
-// a caller looping over Run does not grow the status store or the batch
-// registry the HTTP service polls.
+// a caller looping over Run does not grow the batch registry or its job
+// index, which the HTTP service reads.
 func TestRunLeavesNoJobState(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -499,26 +590,63 @@ func TestRunLeavesNoJobState(t *testing.T) {
 			t.Fatalf("job %s: %s", r.ID, r.Err)
 		}
 		if _, ok := e.Job(r.ID); ok {
-			t.Errorf("job %s still in the status store after Run", r.ID)
+			t.Errorf("job %s still resolves after Run", r.ID)
 		}
 	}
 	e.mu.Lock()
-	statuses, batches := len(e.status), len(e.batches)
+	jobs, batches, order := len(e.jobs), len(e.batches), len(e.batchOrder)
 	e.mu.Unlock()
-	if statuses != 0 || batches != 0 {
-		t.Errorf("after Run: %d statuses, %d batches tracked, want 0", statuses, batches)
+	if jobs != 0 || batches != 0 || order != 0 {
+		t.Errorf("after Run: %d jobs, %d batches, %d ordered batches tracked, want 0", jobs, batches, order)
 	}
 }
 
+// TestEngineJobStatusLifecycle walks jobs through pending, running and
+// done. A cancellable million-sample Monte Carlo job holds the lone worker,
+// so it stays running and the next batch's job stays pending until the
+// cancel.
 func TestEngineJobStatusLifecycle(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	long, err := e.Submit(ctx, []JobSpec{{Kind: MonteCarloYield, Benchmark: "rd53", Samples: 1_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, ok := e.Job(long.IDs[0])
+		if !ok {
+			t.Fatalf("job %s does not resolve", long.IDs[0])
+		}
+		if st.Status == StatusRunning {
+			if st.Result != nil {
+				t.Fatalf("running job carries a result: %+v", st)
+			}
+			break
+		}
+		if st.Status != StatusPending || time.Now().After(deadline) {
+			t.Fatalf("held job = %+v, want pending then running", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	b, err := e.Submit(context.Background(), []JobSpec{fig8Spec(SynthTwoLevel)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := b.IDs[0]
+	if st, ok := e.Job(id); !ok || st.Status != StatusPending || st.Result != nil {
+		t.Fatalf("queued job = %+v ok=%v, want pending", st, ok)
+	}
+	cancel()
+	for range long.Results {
+	}
 	for range b.Results {
+	}
+	if st, ok := e.Job(long.IDs[0]); !ok || st.Status != StatusDone || st.Result == nil ||
+		!strings.Contains(st.Result.Err, "context canceled") {
+		t.Fatalf("cancelled job = %+v ok=%v, want done with the cancel error", st, ok)
 	}
 	st, ok := e.Job(id)
 	if !ok || st.Status != StatusDone || st.Result == nil || st.Result.Area != 60 {

@@ -138,7 +138,6 @@ func (e *Engine) followLoop(ctx context.Context) {
 		if resp.MaxSeq > cursor {
 			cursor = resp.MaxSeq
 		}
-		e.stReplCursor.Store(cursor)
 		e.met.replCursor.Set(int64(cursor))
 		e.met.replLeader.Set(int64(resp.LastSeq))
 		e.met.replLag.Set(int64(resp.LastSeq) - int64(cursor))
@@ -201,7 +200,6 @@ func (e *Engine) applyWindow(recs []TailRecord, cursor uint64) uint64 {
 	}
 	for _, p := range puts {
 		e.cache.Put(p.key, p.r)
-		e.stReplicated.Add(1)
 		e.met.replApplied.Inc()
 	}
 	return cursor

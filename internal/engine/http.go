@@ -201,7 +201,6 @@ func NewHTTPHandler(e *Engine) http.Handler {
 // noisy-anonymous-traffic problem is distinguishable from a misbehaving
 // identified client.
 func (e *Engine) quotaRejected(r *http.Request) {
-	e.stQuotaReject.Add(1)
 	kind := "ip"
 	if r.Header.Get("X-Client-ID") != "" {
 		kind = "hdr"
@@ -237,23 +236,21 @@ func serveBatchEvents(e *Engine, w http.ResponseWriter, r *http.Request) {
 	// it surfaces in the timeline through the live-ring union in Get.
 	sseStart := time.Now()
 	delivered := false
-	if b.sc.Valid() {
-		defer func() {
-			detail := "disconnected"
-			if delivered {
-				detail = "delivered"
-			}
-			e.traces.Record(&trace.Span{
-				Trace:  b.sc.Trace,
-				ID:     trace.NewSpanID(),
-				Parent: b.sc.Span,
-				Name:   spanSSE,
-				Start:  sseStart.UnixNano(),
-				End:    time.Now().UnixNano(),
-				Detail: detail,
-			})
-		}()
-	}
+	defer func() {
+		detail := "disconnected"
+		if delivered {
+			detail = "delivered"
+		}
+		e.traces.Record(&trace.Span{
+			Trace:  b.sc.Trace,
+			ID:     trace.NewSpanID(),
+			Parent: b.sc.Span,
+			Name:   spanSSE,
+			Start:  sseStart.UnixNano(),
+			End:    time.Now().UnixNano(),
+			Detail: detail,
+		})
+	}()
 	stop := e.streamStopChan()
 	// A reconnecting SSE client sends the last event id it processed;
 	// resume past it so reconnects keep the exactly-once delivery.

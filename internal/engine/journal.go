@@ -26,7 +26,6 @@ const DefaultJournalCompactInterval = 5 * time.Minute
 func (e *Engine) openJournal() {
 	j, err := journal.Open(e.opt.JournalDir, journal.Options{
 		SegmentBytes: e.opt.JournalSegmentBytes,
-		NoSync:       e.opt.JournalNoSync,
 		MaxAge:       e.opt.JournalMaxAge,
 		MaxRecords:   e.opt.JournalMaxRecords,
 		Metrics:      e.met.reg,

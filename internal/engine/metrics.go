@@ -18,6 +18,7 @@ type engineMetrics struct {
 	queueWait *metrics.HistogramVec // kind
 	jobSecs   *metrics.HistogramVec // kind
 	jobs      *metrics.CounterVec   // kind, outcome
+	submitted *metrics.Counter
 
 	queueWaitByKind map[Kind]*metrics.Histogram
 	jobSecsByKind   map[Kind]*metrics.Histogram
@@ -26,6 +27,8 @@ type engineMetrics struct {
 	cacheMisses *metrics.Counter
 	dedup       *metrics.Counter
 	rejects     *metrics.CounterVec // reason
+
+	activeWorkers *metrics.Gauge // registered by registerEngineGauges
 
 	httpSeconds  *metrics.HistogramVec // route
 	httpRequests *metrics.CounterVec   // route, code
@@ -76,6 +79,8 @@ func newEngineMetrics() *engineMetrics {
 			nil, "kind"),
 		jobs: reg.NewCounterVec("xbar_engine_jobs_total",
 			"Finished jobs by kind and outcome.", "kind", "outcome"),
+		submitted: reg.NewCounter("xbar_engine_submitted_jobs_total",
+			"Jobs admitted by Submit."),
 		cacheHits: reg.NewCounter("xbar_engine_cache_hits_total",
 			"Jobs answered from the result cache (dedup waits on an identical in-flight job included)."),
 		cacheMisses: reg.NewCounter("xbar_engine_cache_misses_total",
@@ -126,15 +131,15 @@ func newEngineMetrics() *engineMetrics {
 	return m
 }
 
-// registerEngineGauges installs the scrape-time gauges that read live
-// engine state. Split from newEngineMetrics because the closures need the
-// Engine, which needs the metrics first.
+// registerEngineGauges installs the gauges of live engine state, most of
+// them read at scrape time. Split from newEngineMetrics because the
+// closures need the Engine, which needs the metrics first.
 func (e *Engine) registerEngineGauges() {
 	reg := e.met.reg
 	reg.NewGaugeFunc("xbar_engine_workers",
 		"Size of the worker pool.", func() float64 { return float64(e.opt.Workers) })
-	reg.NewGaugeFunc("xbar_engine_active_workers",
-		"Workers currently executing a job.", func() float64 { return float64(e.stActive.Load()) })
+	e.met.activeWorkers = reg.NewGauge("xbar_engine_active_workers",
+		"Workers currently executing a job.")
 	reg.NewGaugeFunc("xbar_engine_queue_depth",
 		"Jobs admitted but not yet finished.", func() float64 {
 			e.mu.Lock()

@@ -57,7 +57,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // family the observability contract promises — engine, journal, HTTP,
 // quota, and replication — with the counters agreeing with the traffic.
 func TestMetricsEndpoint(t *testing.T) {
-	e := New(Options{Workers: 2, JournalDir: t.TempDir(), JournalNoSync: true})
+	e := New(Options{Workers: 2, JournalDir: t.TempDir()})
 	defer e.Close()
 	srv := httptest.NewServer(NewHTTPHandler(e))
 	defer srv.Close()
@@ -74,7 +74,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, family := range []string{
 		// engine
 		"xbar_engine_queue_wait_seconds", "xbar_engine_job_seconds",
-		"xbar_engine_jobs_total", "xbar_engine_cache_hits_total",
+		"xbar_engine_jobs_total", "xbar_engine_submitted_jobs_total",
+		"xbar_engine_cache_hits_total",
 		"xbar_engine_cache_misses_total", "xbar_engine_dedup_total",
 		"xbar_engine_rejects_total", "xbar_engine_workers",
 		"xbar_engine_queue_depth", "xbar_engine_cache_entries",
@@ -124,6 +125,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, body, `xbar_journal_appends_total{result="ok"}`); v != 1 {
 		t.Errorf("journal_appends_total{ok} = %v, want 1", v)
 	}
+	checkStatsMatchExposition(t, e.Stats(), body)
+}
+
+// checkStatsMatchExposition asserts that every Stats count read from the
+// metrics registry equals its series, or the sum of its series, in a
+// scrape taken while the engine was idle.
+func checkStatsMatchExposition(t *testing.T, s Stats, body string) {
+	t.Helper()
+	for _, c := range []struct {
+		field  string
+		got    int64
+		family string
+		match  string // label pair the summed series must carry; "" sums all
+	}{
+		{"Submitted", s.Submitted, "xbar_engine_submitted_jobs_total", ""},
+		{"Completed", s.Completed, "xbar_engine_jobs_total", ""},
+		{"Errors", s.Errors, "xbar_engine_jobs_total", `outcome="error"`},
+		{"CacheHits", s.CacheHits, "xbar_engine_cache_hits_total", ""},
+		{"Deduped", s.Deduped, "xbar_engine_dedup_total", ""},
+		{"Rejected", s.Rejected, "xbar_engine_rejects_total", ""},
+		{"QuotaRejected", s.QuotaRejected, "xbar_quota_rejects_total", ""},
+		{"Replicated", s.Replicated, "xbar_replication_applied_total", ""},
+	} {
+		if want := seriesSum(t, body, c.family, c.match); float64(c.got) != want {
+			t.Errorf("Stats.%s = %d, but %s{%s} sums to %v in /metrics", c.field, c.got, c.family, c.match, want)
+		}
+	}
+}
+
+// seriesSum totals the samples of one family whose label set contains
+// match ("" matches every series).
+func seriesSum(t *testing.T, body, family, match string) float64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		labels, value, _ := strings.Cut(rest, " ")
+		if !strings.Contains(labels, match) {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("series line %q has unparsable value", line)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestMetricsOverloadRejects checks admission-control rejections reach both
@@ -158,6 +209,7 @@ func TestMetricsOverloadRejects(t *testing.T) {
 	if v := metricValue(t, body, `xbar_http_requests_total{route="/v1/jobs",code="429"}`); v < 1 {
 		t.Errorf(`http_requests_total{/v1/jobs,429} = %v, want >= 1`, v)
 	}
+	checkStatsMatchExposition(t, e.Stats(), body)
 }
 
 // TestQuotaRejectMetrics is the regression test for the per-client quota
@@ -202,6 +254,7 @@ func TestQuotaRejectMetrics(t *testing.T) {
 	if m := regexp.MustCompile(`xbar_engine_rejects_total\{[^}]*\} [1-9]`).FindString(body); m != "" {
 		t.Errorf("engine admission rejects booked for quota rejections: %s", m)
 	}
+	checkStatsMatchExposition(t, e.Stats(), body)
 }
 
 // TestMetricsUnknownKindsShareOneSeries: clients choose the job kind
@@ -256,6 +309,7 @@ func TestMetricsUnknownKindsShareOneSeries(t *testing.T) {
 			t.Errorf("%s has %d kind=\"unknown\" series, want 1", family, got)
 		}
 	}
+	checkStatsMatchExposition(t, e.Stats(), body)
 }
 
 // waitForStats polls the engine's stats until cond holds.

@@ -7,17 +7,26 @@ import (
 	"repro/internal/trace"
 )
 
-// maxTrackedBatches bounds the batch registry used by the SSE streaming
-// endpoint. The oldest fully finished batches are evicted first; batches
-// with unfinished jobs are never dropped, so a live stream always has its
-// backing state.
-const maxTrackedBatches = 1024
+// maxRetainedJobs bounds the jobs the batch registry holds: while it holds
+// more, finished batches are evicted oldest first. Batches with unfinished
+// jobs are never evicted, so a live stream or poll always has its state.
+const maxRetainedJobs = 16384
 
-// batchState is the streamable record of one submitted batch: every job
-// result published so far, in finish order, plus a broadcast channel that
-// subscribers wait on for the next publish. Results are appended exactly
-// once per job (by Engine.finish), so a subscriber that replays from cursor
-// zero sees every result exactly once no matter when it connects.
+// Job states in batchState.state. A job is pending until a worker picks it
+// up and running until it finishes; a finished job's state is jobDone plus
+// the index of its result in results.
+const (
+	jobPending = iota
+	jobRunning
+	jobDone
+)
+
+// batchState is the engine's one record of a submitted batch, read by the
+// SSE stream and by Job: every job result published so far, in finish
+// order, each job's state, and a broadcast channel that subscribers wait
+// on for the next publish. Results are appended exactly once per job (by
+// Engine.finish), so a subscriber that replays from cursor zero sees every
+// result exactly once no matter when it connects.
 type batchState struct {
 	id     string
 	jobIDs []string // immutable after construction
@@ -33,6 +42,7 @@ type batchState struct {
 
 	mu      sync.Mutex
 	results []JobResult
+	state   []int         // per job in spec order: jobPending, jobRunning, or jobDone + result index
 	errs    bool          // any published result carried an error
 	changed chan struct{} // closed and replaced on every publish
 }
@@ -42,13 +52,22 @@ func newBatchState(id string, jobIDs []string) *batchState {
 		id:      id,
 		jobIDs:  jobIDs,
 		results: make([]JobResult, 0, len(jobIDs)),
+		state:   make([]int, len(jobIDs)),
 		changed: make(chan struct{}),
 	}
 }
 
-// publish appends one finished job result and wakes every subscriber.
-func (b *batchState) publish(r JobResult) {
+// setRunning marks job i as picked up by a worker.
+func (b *batchState) setRunning(i int) {
 	b.mu.Lock()
+	b.state[i] = jobRunning
+	b.mu.Unlock()
+}
+
+// publish records job i's result and wakes every subscriber.
+func (b *batchState) publish(i int, r JobResult) {
+	b.mu.Lock()
+	b.state[i] = jobDone + len(b.results)
 	b.results = append(b.results, r)
 	if r.Err != "" {
 		b.errs = true
@@ -56,6 +75,21 @@ func (b *batchState) publish(r JobResult) {
 	close(b.changed)
 	b.changed = make(chan struct{})
 	b.mu.Unlock()
+}
+
+// job reports job i's status, with a copy of its result once it finished.
+func (b *batchState) job(i int) JobStatus {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := JobStatus{ID: b.jobIDs[i], Status: StatusPending}
+	switch s := b.state[i]; {
+	case s == jobRunning:
+		st.Status = StatusRunning
+	case s >= jobDone:
+		r := b.results[s-jobDone]
+		st.Status, st.Result = StatusDone, &r
+	}
+	return st
 }
 
 // failed reports whether any job of the batch published an error (the
@@ -94,19 +128,50 @@ func (e *Engine) batch(id string) (*batchState, bool) {
 	return b, ok
 }
 
-// registerBatchLocked tracks a new batch for streaming and evicts the
-// oldest finished batches beyond the registry bound, skipping live ones
-// (same policy as the job status store — see pruneOrder). Caller holds
-// e.mu.
+// jobRef locates a tracked job: its batch and its position in it.
+type jobRef struct {
+	batch *batchState
+	pos   int
+}
+
+// registerBatchLocked tracks a new batch and its jobs, then evicts finished
+// batches oldest first while the registry holds more than maxRetainedJobs
+// jobs. A finished head is popped in O(1); live batches are kept but do
+// not stall eviction, so one stuck batch at the head cannot pin the
+// registry. Caller holds e.mu.
 func (e *Engine) registerBatchLocked(b *batchState) {
 	e.batches[b.id] = b
-	e.batchOrder = append(e.batchOrder, b.id)
-	e.batchOrder = pruneOrder(e.batchOrder, maxTrackedBatches,
-		func(id string) bool {
-			bs, ok := e.batches[id]
-			return !ok || bs.done()
-		},
-		func(id string) { delete(e.batches, id) })
+	for i, id := range b.jobIDs {
+		e.jobs[id] = jobRef{b, i}
+	}
+	e.batchOrder = append(e.batchOrder, b)
+	for len(e.jobs) > maxRetainedJobs && e.batchOrder[0].done() {
+		e.dropBatchLocked(e.batchOrder[0])
+		e.batchOrder[0] = nil // the backing array must not keep its results alive
+		e.batchOrder = e.batchOrder[1:]
+	}
+	if len(e.jobs) <= maxRetainedJobs {
+		return
+	}
+	kept := e.batchOrder[:0]
+	for _, bs := range e.batchOrder {
+		if len(e.jobs) > maxRetainedJobs && bs.done() {
+			e.dropBatchLocked(bs)
+			continue
+		}
+		kept = append(kept, bs)
+	}
+	clear(e.batchOrder[len(kept):])
+	e.batchOrder = kept
+}
+
+// dropBatchLocked removes a batch and its jobs from the registry's lookups;
+// the caller removes it from batchOrder. Caller holds e.mu.
+func (e *Engine) dropBatchLocked(b *batchState) {
+	delete(e.batches, b.id)
+	for _, id := range b.jobIDs {
+		delete(e.jobs, id)
+	}
 }
 
 // StopStreams unblocks every currently connected Server-Sent-Events

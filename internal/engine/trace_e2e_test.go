@@ -17,7 +17,7 @@ import (
 // journal commit, publish — correctly parented, with the caller's span id
 // as the admission span's parent.
 func TestTraceLifecycleSpans(t *testing.T) {
-	e := New(Options{Workers: 1, JournalDir: t.TempDir(), JournalNoSync: true})
+	e := New(Options{Workers: 1, JournalDir: t.TempDir()})
 	defer e.Close()
 	srv := httptest.NewServer(NewHTTPHandler(e))
 	defer srv.Close()

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,6 +333,28 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels .
 // labels per event when the values are fixed.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
+}
+
+// Sum totals the vec's existing series whose label named label has the
+// given value; an empty label totals every series. It only reads: no series
+// is created, so the exposition is the same before and after the call.
+func (v *CounterVec) Sum(label, value string) int64 {
+	f := v.f
+	at := -1
+	if label != "" {
+		if at = slices.Index(f.labels, label); at < 0 {
+			panic("metrics: " + f.name + " has no label " + label)
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var n int64
+	for key, c := range f.children {
+		if at < 0 || strings.Split(key, "\x00")[at] == value {
+			n += c.(*Counter).Value()
+		}
+	}
+	return n
 }
 
 // With returns the gauge for the given label values.

@@ -237,6 +237,49 @@ func TestInstrumentRoute(t *testing.T) {
 	}
 }
 
+// TestCounterVecSum: Sum totals the existing series, all of them or those
+// with one label value, and never creates a series, so the exposition is
+// byte-identical before and after it.
+func TestCounterVecSum(t *testing.T) {
+	r := NewRegistry()
+	jobs := r.NewCounterVec("test_jobs_total", "Jobs.", "kind", "outcome")
+	empty := r.NewCounterVec("test_empty_total", "Never incremented.", "reason")
+	jobs.With("a", "ok").Add(3)
+	jobs.With("a", "error").Add(2)
+	jobs.With("b", "ok").Add(5)
+	jobs.With("b", "error").Inc()
+	jobs.With("c", "ok")
+
+	var before strings.Builder
+	if _, err := r.WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		vec          *CounterVec
+		label, value string
+		want         int64
+	}{
+		{jobs, "", "", 11},
+		{jobs, "outcome", "error", 3},
+		{jobs, "outcome", "ok", 8},
+		{jobs, "kind", "b", 6},
+		{jobs, "kind", "d", 0},
+		{empty, "", "", 0},
+		{empty, "reason", "overloaded", 0},
+	} {
+		if got := tc.vec.Sum(tc.label, tc.value); got != tc.want {
+			t.Errorf("%s.Sum(%q, %q) = %d, want %d", tc.vec.f.name, tc.label, tc.value, got, tc.want)
+		}
+	}
+	var after strings.Builder
+	if _, err := r.WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Errorf("Sum changed the exposition:\nbefore:\n%s\nafter:\n%s", before.String(), after.String())
+	}
+}
+
 func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dup_total", "")
@@ -247,6 +290,7 @@ func TestRegistryPanics(t *testing.T) {
 		"bad bounds":  func() { r.NewHistogram("h_rev", "", []float64{2, 1}) },
 		"label arity": func() { r.NewCounterVec("arity_total", "", "a", "b").With("only-one") },
 		"empty name":  func() { r.NewGauge("", "") },
+		"sum label":   func() { r.NewCounterVec("sum_total", "", "a").Sum("b", "x") },
 	} {
 		func() {
 			defer func() {

@@ -372,7 +372,8 @@ const (
 type Batch = engine.Batch
 
 // EngineStats snapshots engine counters (submissions, cache hits, peak
-// concurrency).
+// concurrency). The counts are read from the engine's metrics registry, so
+// they match what a /metrics scrape of the same engine reports.
 type EngineStats = engine.Stats
 
 // ErrEngineOverloaded is reported (wrapped) by Engine.Submit and Engine.Run
