@@ -19,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
+	"repro/internal/lfg"
 	"repro/internal/logic"
 	"repro/internal/mapping"
 	"repro/internal/minimize"
@@ -224,10 +225,11 @@ func BenchmarkHBAMap(b *testing.B) {
 }
 
 // BenchmarkYield200 times one steady-state Monte Carlo yield trial exactly
-// as the Table II / Section VI loops run it: the worker's preallocated
-// defect map is regenerated in place and HBA runs on reusable scratch,
-// cycling through a 200-sample seed schedule. The headline contract is
-// 0 allocs/op — the trial loop never touches the garbage collector.
+// as the Table II / Section VI loops run it: the harness's source is
+// reseeded, the worker's preallocated defect map is regenerated in place
+// and HBA runs on reusable scratch, cycling through a 200-sample seed
+// schedule. The headline contract is 0 allocs/op — the trial loop never
+// touches the garbage collector.
 func BenchmarkYield200(b *testing.B) {
 	c, ok := suite.ByName("rd53")
 	if !ok {
@@ -244,15 +246,73 @@ func BenchmarkYield200(b *testing.B) {
 	}
 	scratch := mapping.NewScratch()
 	params := defect.Params{POpen: 0.10}
-	rng := rand.New(rand.NewSource(0))
+	src := lfg.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng.Seed(montecarlo.SampleSeed(2018, i%200))
-		if err := dm.Regenerate(params, rng); err != nil {
+		src.Seed(montecarlo.SampleSeed(2018, i%200))
+		if err := dm.Regenerate(params, src); err != nil {
 			b.Fatal(err)
 		}
 		mapping.HBAScratch(p, scratch)
+	}
+}
+
+// alu4Layout is Table II's largest fabric, 583 rows × 44 columns.
+func alu4Layout(b *testing.B) *xbar.Layout {
+	b.Helper()
+	c, ok := suite.ByName("alu4")
+	if !ok {
+		b.Fatal("alu4 missing")
+	}
+	l, err := xbar.NewTwoLevel(c.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+// BenchmarkRegenerate times one in-place resample of a Table II fabric
+// (alu4) at the paper's 10% stuck-open rate from the harness's source, with
+// the delta window open as the mapping scratch keeps it. 0 allocs/op.
+func BenchmarkRegenerate(b *testing.B) {
+	l := alu4Layout(b)
+	dm := defect.NewMap(l.Rows, l.Cols)
+	params := defect.Params{POpen: 0.10}
+	src := lfg.New(2018)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dm.ResetDelta()
+		if err := dm.Regenerate(params, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMonteCarloSample times one Monte Carlo sample as the harness
+// runs it for a monte-carlo-yield job: montecarlo.Run reseeds the source,
+// and the job's trial regenerates the fabric and maps it with HBA. The
+// circuit is ex1010 with two spare rows, a Section VI sweep point that is
+// also a Table II circuit. One op is one sample of a b.N-sample batch.
+func BenchmarkMonteCarloSample(b *testing.B) {
+	c, ok := suite.ByName("ex1010")
+	if !ok {
+		b.Fatal("ex1010 missing")
+	}
+	l, err := xbar.NewTwoLevel(c.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	trial := engine.MappingTrial(l, 2, defect.Params{POpen: 0.10}, mapping.HBAScratch)
+	// One sample first, so the trial's scratch has grown before timing.
+	if _, err := montecarlo.Run(montecarlo.Options{Samples: 1, Seed: 2018}, trial); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := montecarlo.Run(montecarlo.Options{Samples: b.N, Seed: 2018}, trial); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -492,11 +552,12 @@ func BenchmarkRandFunc(b *testing.B) {
 	}
 }
 
-// BenchmarkDefectGenerate times defect-map sampling at alu4 scale.
+// BenchmarkDefectGenerate times defect-map sampling at alu4 scale, map
+// allocation included, from the harness's source.
 func BenchmarkDefectGenerate(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
+	src := lfg.New(11)
 	for i := 0; i < b.N; i++ {
-		if _, err := defect.Generate(583, 44, defect.Params{POpen: 0.10}, rng); err != nil {
+		if _, err := defect.Generate(583, 44, defect.Params{POpen: 0.10}, src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,7 @@ package defect
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bitmat"
@@ -39,38 +39,44 @@ func (k Kind) String() string {
 }
 
 // Map is the defect map of one fabricated crossbar, the Crossbar Matrix (CM)
-// of the paper's Fig. 8(b). Alongside the per-cell kinds it maintains, under
-// the packed-row contract of internal/bitmat, a word-packed functional mask
-// per row plus per-line stuck-closed caches; every mutation goes through Set,
-// which updates them incrementally, so RowHasClosed / ColHasClosed are O(1)
-// and the mapping hot path tests row compatibility with word operations.
+// of the paper's Fig. 8(b). It is stored as two word-packed planes under the
+// packed-row contract of internal/bitmat — the functional plane (the CM) and
+// the stuck-closed plane; a cell in neither is stuck open — plus per-line
+// stuck-closed caches. Every mutation goes through Set, Reset or Regenerate,
+// which keep the caches current, so RowHasClosed / ColHasClosed are O(1) and the
+// mapping hot path tests row compatibility with word operations.
 type Map struct {
 	Rows, Cols int
-	cells      []Kind
 
 	// functional packs Functional(r, c) row-major: bit c of row r is 1 when
-	// the device is programmable (the CM of Fig. 8(b)).
-	functional *bitmat.Matrix
+	// the device is programmable (the CM of Fig. 8(b)). closed packs the
+	// stuck-closed devices the same way; the planes never share a set bit.
+	functional bitmat.Matrix
+	closed     bitmat.Matrix
 	// closedRow / closedCol count stuck-closed devices per line; the masks
 	// flag lines whose count is non-zero.
 	closedRow     []int32
 	closedCol     []int32
 	closedRowMask bitmat.Row
 	closedColMask bitmat.Row
-	// open / closed are whole-map defect totals for Summarize.
-	open, closed int
+	// nOpen, nClosed are whole-map defect totals for Summarize.
+	nOpen, nClosed int
+
+	// draws holds one row of the random stream while Regenerate samples it,
+	// and cut the thresholds of the last Params it sampled with (the zero
+	// cut is Params{}'s).
+	draws []int64
+	cut   cut
 
 	// Delta window (see delta.go): version counts effective mutations;
 	// deltaRows/deltaCols mark the lines changed since the last ResetDelta,
 	// unless deltaAll says the whole map must be treated as dirty. deltaBase
-	// is the version the window started at, and prevCells is the grow-once
-	// snapshot buffer Regenerate diffs against.
+	// is the version the window started at.
 	version   uint64
 	deltaBase uint64
 	deltaAll  bool
 	deltaRows bitmat.Row
 	deltaCols bitmat.Row
-	prevCells []Kind
 }
 
 // NewMap returns an all-functional defect map.
@@ -79,23 +85,24 @@ func NewMap(rows, cols int) *Map {
 		panic("defect: negative dimensions")
 	}
 	// All four per-line masks (closed-row/col caches and the delta window)
-	// share one backing slice: half the mask allocations of separate
-	// bitmat.NewRow calls, and the delta window costs nothing extra.
-	rw, cw := (rows+63)/64, (cols+63)/64
+	// share one backing slice, and so do the two per-line counters.
+	rw, cw := bitmat.Words(rows), bitmat.Words(cols)
 	masks := make([]uint64, 2*rw+2*cw)
+	counts := make([]int32, rows+cols)
 	m := &Map{
 		Rows:          rows,
 		Cols:          cols,
-		cells:         make([]Kind, rows*cols),
-		functional:    bitmat.New(rows, cols),
-		closedRow:     make([]int32, rows),
-		closedCol:     make([]int32, cols),
+		closedRow:     counts[:rows:rows],
+		closedCol:     counts[rows:],
 		closedRowMask: masks[0:rw:rw],
 		closedColMask: masks[rw : rw+cw : rw+cw],
+		draws:         make([]int64, cols),
 		deltaAll:      true,
 		deltaRows:     masks[rw+cw : rw+cw+rw : rw+cw+rw],
 		deltaCols:     masks[rw+cw+rw:],
 	}
+	m.functional.Reshape(rows, cols)
+	m.closed.Reshape(rows, cols)
 	m.functional.Fill()
 	return m
 }
@@ -111,88 +118,236 @@ type Params struct {
 	PClosed float64
 }
 
-func (p Params) validate(rng *rand.Rand) error {
-	if p.POpen < 0 || p.PClosed < 0 || p.POpen+p.PClosed > 1 {
+func (p Params) validate(src Source) error {
+	// Written so that NaN fails every comparison and ±Inf fails one: a NaN
+	// rate would otherwise slip past p < 0 and sum > 1 alike.
+	if !(p.POpen >= 0 && p.PClosed >= 0 && p.POpen+p.PClosed <= 1) {
 		return fmt.Errorf("defect: invalid probabilities POpen=%v PClosed=%v", p.POpen, p.PClosed)
 	}
-	if rng == nil {
+	if src == nil {
 		return fmt.Errorf("defect: nil random source")
 	}
 	return nil
 }
 
+// Source is the random stream a map is sampled from. *lfg.Source, the Monte
+// Carlo harness's stream, also fills a slice per call (Int63s) and is then
+// drawn a row at a time; *rand.Rand is drawn value by value. Both give the
+// same map for the same stream.
+type Source interface {
+	Int63() int64
+}
+
+// bulkSource is a Source that draws many values per call.
+type bulkSource interface {
+	Int63s(dst []int64)
+}
+
 // Generate samples a defect map with independent uniform per-crosspoint
 // defect probabilities, the paper's Monte Carlo defect model.
-func Generate(rows, cols int, p Params, rng *rand.Rand) (*Map, error) {
-	if err := p.validate(rng); err != nil {
+func Generate(rows, cols int, p Params, src Source) (*Map, error) {
+	m := NewMap(rows, cols)
+	if err := m.Regenerate(p, src); err != nil {
 		return nil, err
 	}
-	m := NewMap(rows, cols)
-	m.sample(p, rng)
 	return m, nil
 }
 
-// Regenerate resamples the map in place with the same defect model as
-// Generate — identical draws from an identically-seeded rng produce an
-// identical map — without allocating. It is the scratch-buffer primitive of
-// the Monte Carlo yield loops: one preallocated map per worker, refilled per
-// trial.
+// Regenerate resamples the whole map in place without allocating: the
+// scratch-buffer primitive of the Monte Carlo yield loops, one preallocated
+// map per worker refilled per trial. Generate is NewMap plus Regenerate.
+//
+// The sampling is the per-cell model u := Float64(); open if u < POpen,
+// closed if u < POpen+PClosed, evaluated word by word: a row's draws come in
+// one call when the source allows, each is compared with the integer
+// thresholds of p (see cut), and the row's words are written whole. It
+// consumes the stream exactly as the per-cell loop does, one Int63 per
+// crosspoint in row-major order plus one for every value Float64 would
+// redraw, so the map is the one that loop builds from the same stream.
+//
+// An open delta window is narrowed to the exact change: the rows and columns
+// whose words differ, old XOR new, in either plane.
 //
 //xbar:hotpath
-func (m *Map) Regenerate(p Params, rng *rand.Rand) error {
+func (m *Map) Regenerate(p Params, src Source) error {
 	//xbar:allow hotpath-alloc parameter validation is the cold error path and allocates only when it rejects
-	if err := p.validate(rng); err != nil {
+	if err := p.validate(src); err != nil {
 		return err
 	}
-	if m.deltaAll {
-		// No consumer is tracking a window, so there is nothing to diff for.
-		m.Reset()
-		m.sample(p, rng)
-		return nil
+	if m.cut.p != p {
+		m.cut = cutFor(p)
 	}
-	// Snapshot, resample, then report the exact delta: the rows/columns
-	// holding a cell whose kind differs between the old and new trial. The
-	// rng draw order is untouched, so the resampled map is bit-identical to
-	// the non-tracking path.
-	if cap(m.prevCells) < len(m.cells) {
-		//xbar:allow hotpath-alloc grow-once snapshot buffer; steady-state trials reuse it
-		m.prevCells = make([]Kind, len(m.cells))
+	bulk, _ := src.(bulkSource)
+	for i := range m.closedCol {
+		m.closedCol[i] = 0
 	}
-	prev := m.prevCells[:len(m.cells)]
-	copy(prev, m.cells)
-	m.Reset() // sets deltaAll; undone below once the exact delta is known
-	m.sample(p, rng)
-	m.deltaAll = false
+	m.closedColMask.Zero()
+	m.nOpen, m.nClosed = 0, 0
+	track, changed := !m.deltaAll, false
+	draws := m.draws
 	for r := 0; r < m.Rows; r++ {
-		base := r * m.Cols
-		dirty := false
-		for c := 0; c < m.Cols; c++ {
-			if m.cells[base+c] != prev[base+c] {
-				dirty = true
-				m.deltaCols.Set(c)
+		if bulk != nil {
+			//xbar:allow hotpath-alloc interface call into the source's bulk draw (lfg.Source.Int63s, itself //xbar:hotpath)
+			bulk.Int63s(draws)
+		} else {
+			for i := range draws {
+				//xbar:allow hotpath-alloc interface call to the source's Int63 (*rand.Rand or lfg.Source), which does not allocate
+				draws[i] = src.Int63()
 			}
 		}
-		if dirty {
-			m.deltaRows.Set(r)
+		fRow, cRow := m.functional.Row(r), m.closed.Row(r)
+		var rowClosed int32
+		var rowDiff uint64
+		for w := 0; w < len(fRow); {
+			lo := w * 64
+			cells := draws[lo:min(lo+64, len(draws))]
+			f, c, ok := m.cut.pack(cells)
+			if !ok {
+				// A draw Float64 would redraw: drop it, shift the rest of
+				// the row up and pack this word again.
+				redraw(draws[lo:], src)
+				continue
+			}
+			d := (fRow[w] ^ f) | (cRow[w] ^ c)
+			rowDiff |= d
+			if track {
+				m.deltaCols[w] |= d
+			}
+			fRow[w], cRow[w] = f, c
+			m.nOpen += len(cells) - bits.OnesCount64(f|c)
+			if c != 0 {
+				m.closedColMask[w] |= c
+				rowClosed += int32(bits.OnesCount64(c))
+				for ; c != 0; c &= c - 1 {
+					m.closedCol[lo+bits.TrailingZeros64(c)]++
+				}
+			}
+			w++
 		}
+		m.closedRow[r] = rowClosed
+		if rowClosed != 0 {
+			m.closedRowMask.Set(r)
+		} else {
+			m.closedRowMask.Clear(r)
+		}
+		m.nClosed += int(rowClosed)
+		if rowDiff != 0 {
+			changed = true
+			if track {
+				m.deltaRows.Set(r)
+			}
+		}
+	}
+	if changed {
+		m.version++
 	}
 	return nil
 }
 
+// redrawFrom is the smallest Int63 value Float64 draws again: float64(x)
+// rounds up to 2⁶³, and so x/2⁶³ to 1, from 2⁶³−512 on.
+const redrawFrom = 1<<63 - 512
+
+// redraw removes from draws every value Float64 would have redrawn and tops
+// the slice up from src, so it holds the values Float64 would keep, in
+// stream order.
+//
+//xbar:hotpath
+func redraw(draws []int64, src Source) {
+	n := 0
+	for _, x := range draws {
+		if x < redrawFrom {
+			draws[n] = x
+			n++
+		}
+	}
+	for n < len(draws) {
+		//xbar:allow hotpath-alloc interface call to the source's Int63 (*rand.Rand or lfg.Source), which does not allocate
+		if x := src.Int63(); x < redrawFrom {
+			draws[n] = x
+			n++
+		}
+	}
+}
+
+// cut holds the integer form of one Params. Float64 is float64(x)/2⁶³ for
+// x = Int63(), and the conversion is monotone, so u < POpen is x < open and
+// u < POpen+PClosed (the float sum) is x < defect.
+type cut struct {
+	p            Params
+	open, defect int64
+}
+
+// cutFor derives the thresholds of p, once per Params change.
+//
+//xbar:hotpath
+func cutFor(p Params) cut {
+	return cut{p: p, open: threshold(p.POpen), defect: threshold(p.POpen + p.PClosed)}
+}
+
+// threshold returns the smallest x in [0, redrawFrom] with float64(x)/2⁶³
+// >= p, so that float64(x)/2⁶³ < p exactly when x < threshold(p) among the
+// values Float64 keeps. p = 1 gives redrawFrom: every kept value is below.
+//
+//xbar:hotpath
+func threshold(p float64) int64 {
+	lo, hi := int64(0), int64(redrawFrom)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// pack classifies up to 64 draws into one word of each plane: bit k of f is
+// set when cells[k] >= defect (functional), bit k of c when open <= cells[k]
+// < defect (stuck closed). ok is false when a draw lies in Float64's redraw
+// zone; the words are then meaningless. The loop runs from the last cell
+// down, doubling the words and adding each cell's bit, so cell 0 lands on
+// bit 0 with no variable shift. x < t is the sign bit of x-t, and the redraw
+// test is folded into an OR: x >= redrawFrom exactly when x+512 reaches
+// bit 63.
+//
+//xbar:hotpath
+func (t cut) pack(cells []int64) (f, c uint64, ok bool) {
+	const top = 1 << 63
+	var defective, open, zone uint64
+	if t.open == t.defect {
+		// No stuck-closed defects: one compare per cell.
+		for k := len(cells) - 1; k >= 0; k-- {
+			x := cells[k]
+			defective = defective<<1 + uint64(x-t.defect)>>63
+			zone |= uint64(x) + (top - redrawFrom)
+		}
+		open = defective
+	} else {
+		for k := len(cells) - 1; k >= 0; k-- {
+			x := cells[k]
+			defective = defective<<1 + uint64(x-t.defect)>>63
+			open = open<<1 + uint64(x-t.open)>>63
+			zone |= uint64(x) + (top - redrawFrom)
+		}
+	}
+	// Open cells are defective too (open <= defect), so the stuck-closed
+	// ones are the defective cells that are not open.
+	return ^defective & (^uint64(0) >> (64 - uint(len(cells)))), defective &^ open, zone < top
+}
+
 // Reset clears the map to all-functional in place without allocating: the
-// reuse primitive of both Regenerate and the column-aware mapper's scratch
-// projection. Clearing rewrites every cell, so the delta window degrades to
-// all-dirty (Regenerate narrows it back down by diffing against a snapshot).
+// reuse primitive of the column-aware mapper's scratch projection. Clearing
+// rewrites every cell, so the delta window degrades to all-dirty.
 //
 //xbar:hotpath
 func (m *Map) Reset() {
-	if m.open == 0 && m.closed == 0 {
+	if m.nOpen == 0 && m.nClosed == 0 {
 		return // already all-functional; nothing changed, keep the window
 	}
-	for i := range m.cells {
-		m.cells[i] = OK
-	}
 	m.functional.Fill()
+	m.closed.Zero()
 	for i := range m.closedRow {
 		m.closedRow[i] = 0
 	}
@@ -201,42 +356,33 @@ func (m *Map) Reset() {
 	}
 	m.closedRowMask.Zero()
 	m.closedColMask.Zero()
-	m.open, m.closed = 0, 0
+	m.nOpen, m.nClosed = 0, 0
 	m.version++
 	m.deltaAll = true
-}
-
-// sample draws every cell in row-major order (the rng consumption order is
-// part of the reproducibility contract: Generate, Regenerate, and any
-// identically-seeded rerun must agree bit for bit).
-//
-//xbar:hotpath
-func (m *Map) sample(p Params, rng *rand.Rand) {
-	for i := range m.cells {
-		u := rng.Float64()
-		switch {
-		case u < p.POpen:
-			m.set(i/m.Cols, i%m.Cols, StuckOpen)
-		case u < p.POpen+p.PClosed:
-			m.set(i/m.Cols, i%m.Cols, StuckClosed)
-		}
-	}
 }
 
 // At returns the defect kind at (r, c).
 //
 //xbar:hotpath
-func (m *Map) At(r, c int) Kind { return m.cells[r*m.Cols+c] }
+func (m *Map) At(r, c int) Kind {
+	switch {
+	case m.functional.Get(r, c):
+		return OK
+	case m.closed.Get(r, c):
+		return StuckClosed
+	}
+	return StuckOpen
+}
 
-// Set stores a defect kind at (r, c), updating the packed masks and the
-// per-line caches incrementally (O(1)); used by tests and fault injection.
+// Set stores a defect kind at (r, c), updating the planes and the per-line
+// caches incrementally (O(1)); used by tests and fault injection.
 //
 //xbar:hotpath
-func (m *Map) Set(r, c int, k Kind) { m.set(r, c, k) }
-
-//xbar:hotpath
-func (m *Map) set(r, c int, k Kind) {
-	old := m.cells[r*m.Cols+c]
+func (m *Map) Set(r, c int, k Kind) {
+	if k > StuckClosed {
+		panic("defect: invalid kind")
+	}
+	old := m.At(r, c)
 	if old == k {
 		return
 	}
@@ -246,10 +392,13 @@ func (m *Map) set(r, c int, k Kind) {
 		m.deltaCols.Set(c)
 	}
 	switch old {
+	case OK:
+		m.functional.Clear(r, c)
 	case StuckOpen:
-		m.open--
+		m.nOpen--
 	case StuckClosed:
-		m.closed--
+		m.nClosed--
+		m.closed.Clear(r, c)
 		if m.closedRow[r]--; m.closedRow[r] == 0 {
 			m.closedRowMask.Clear(r)
 		}
@@ -257,15 +406,14 @@ func (m *Map) set(r, c int, k Kind) {
 			m.closedColMask.Clear(c)
 		}
 	}
-	m.cells[r*m.Cols+c] = k
 	switch k {
 	case OK:
 		m.functional.Set(r, c)
-		return
 	case StuckOpen:
-		m.open++
+		m.nOpen++
 	case StuckClosed:
-		m.closed++
+		m.nClosed++
+		m.closed.Set(r, c)
 		if m.closedRow[r]++; m.closedRow[r] == 1 {
 			m.closedRowMask.Set(r)
 		}
@@ -273,7 +421,6 @@ func (m *Map) set(r, c int, k Kind) {
 			m.closedColMask.Set(c)
 		}
 	}
-	m.functional.Clear(r, c)
 }
 
 // Functional reports whether the device at (r, c) is programmable.
@@ -307,7 +454,7 @@ func (m *Map) ClosedRows() bitmat.Row { return m.closedRowMask }
 // Set/Regenerate.
 //
 //xbar:hotpath
-func (m *Map) FunctionalMatrix() *bitmat.Matrix { return m.functional }
+func (m *Map) FunctionalMatrix() *bitmat.Matrix { return &m.functional }
 
 // ClosedInColumn returns the stuck-at-closed device count of column c (O(1)
 // via the incremental cache).
@@ -350,8 +497,8 @@ type Stats struct {
 func (m *Map) Summarize() Stats {
 	s := Stats{
 		Devices:     m.Rows * m.Cols,
-		Open:        m.open,
-		Closed:      m.closed,
+		Open:        m.nOpen,
+		Closed:      m.nClosed,
 		PoisonedRow: bitmat.PopCount(m.closedRowMask),
 		PoisonedCol: bitmat.PopCount(m.closedColMask),
 	}

@@ -21,13 +21,27 @@ func TestGenerateRates(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation: out-of-range rates are errors, through Generate
+// and Regenerate alike, and a rejected Regenerate leaves the map alone.
+// NaN compares false with both bounds of a range check, and ±Inf with one,
+// so they are listed explicitly.
 func TestGenerateValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := Generate(2, 2, Params{POpen: -0.1}, rng); err == nil {
-		t.Error("negative probability must fail")
-	}
-	if _, err := Generate(2, 2, Params{POpen: 0.7, PClosed: 0.4}, rng); err == nil {
-		t.Error("probabilities summing above 1 must fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Params{
+		{POpen: -0.1}, {POpen: 0.7, PClosed: 0.4},
+		{POpen: nan}, {PClosed: nan}, {POpen: nan, PClosed: nan}, {POpen: 0.1, PClosed: nan},
+		{POpen: inf}, {PClosed: inf}, {POpen: -inf}, {PClosed: -inf}, {POpen: inf, PClosed: -inf},
+	} {
+		if _, err := Generate(2, 2, p, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("Generate accepted %+v", p)
+		}
+		m := NewMap(2, 2)
+		if err := m.Regenerate(p, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("Regenerate accepted %+v", p)
+		}
+		if s := m.Summarize(); s.Open != 0 || s.Closed != 0 {
+			t.Errorf("rejected %+v still changed the map: %+v", p, s)
+		}
 	}
 	if _, err := Generate(2, 2, Params{}, nil); err == nil {
 		t.Error("nil rng must fail")

@@ -21,12 +21,12 @@ import "repro/internal/bitmat"
 //
 // Mutation sources maintain the window as follows: Set marks the touched
 // row/column in O(1); Reset degrades to all-dirty (DeltaAll); Regenerate
-// diffs the new trial against a snapshot of the old one and marks exactly
-// the rows/columns holding a cell whose kind changed (so back-to-back trials
-// at the paper's defect rates mark only the small symmetric difference of
-// the two defect sets). Version() advances on every effective mutation —
-// an unchanged map keeps its version, letting consumers skip refreshes
-// entirely.
+// XORs each new word of both planes with the word it replaces and marks
+// exactly the rows/columns holding a cell whose kind changed (so trials that
+// resample one region, or back-to-back trials at low defect rates, mark only
+// the symmetric difference of the two defect sets). Version() advances on
+// every effective mutation — an unchanged map keeps its version, letting
+// consumers skip refreshes entirely.
 
 // Version returns the mutation counter: it advances every time a cell's kind
 // effectively changes (writes of the current kind are free). Equal versions
@@ -73,13 +73,13 @@ func (m *Map) ResetDelta() {
 }
 
 // CloseDelta closes the window without opening a new one: the map goes back
-// to the untracked all-dirty state, so Set stops marking and Regenerate
-// stops snapshotting and diffing trials. Consumers call it instead of
-// ResetDelta when tracking has stopped paying for itself — a Monte Carlo
-// loop resampling the whole map every trial produces only dense diffs, and
-// the snapshot+diff per Regenerate is then pure overhead. A later
-// ResetDelta reopens tracking at any time. Version() keeps advancing
-// regardless, so version-equality skip paths survive a closed window.
+// to the untracked all-dirty state, so Set and Regenerate stop marking.
+// Consumers call it instead of ResetDelta when tracking has stopped paying
+// for itself — a Monte Carlo loop resampling the whole map every trial
+// produces only dense diffs, and patching a derived view line by line then
+// costs more than rebuilding it. A later ResetDelta reopens tracking at any
+// time. Version() keeps advancing regardless, so version-equality skip
+// paths survive a closed window.
 //
 //xbar:hotpath
 func (m *Map) CloseDelta() { m.deltaAll = true }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/lfg"
 )
 
 // deltaWindowExact replays the window contract by brute force: snapshot the
@@ -160,24 +161,26 @@ func TestRegenerateDelta(t *testing.T) {
 	}
 }
 
-// TestRegenerateDeltaZeroAllocs pins that window-tracked regeneration stays
-// allocation-free in steady state (the Monte Carlo trial loop contract).
+// TestRegenerateDeltaZeroAllocs pins that window-tracked regeneration is
+// allocation-free (the Monte Carlo trial loop contract), from the harness's
+// bulk source and from a *rand.Rand, and across a Params change.
 func TestRegenerateDeltaZeroAllocs(t *testing.T) {
 	m := NewMap(300, 44)
-	p := Params{POpen: 0.1}
-	rng := rand.New(rand.NewSource(5))
-	m.ResetDelta()
-	if err := m.Regenerate(p, rng); err != nil {
-		t.Fatal(err) // warm up prevCells
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := m.Regenerate(p, rng); err != nil {
-			t.Fatal(err)
-		}
+	p, q := Params{POpen: 0.1}, Params{POpen: 0.1, PClosed: 0.01}
+	for _, src := range []Source{lfg.New(5), rand.New(rand.NewSource(5))} {
 		m.ResetDelta()
-	})
-	if allocs != 0 {
-		t.Fatalf("tracked Regenerate allocates %v per trial, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := m.Regenerate(p, src); err != nil {
+				t.Fatal(err)
+			}
+			m.ResetDelta()
+			if err := m.Regenerate(q, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("tracked Regenerate from %T allocates %v per trial, want 0", src, allocs)
+		}
 	}
 }
 

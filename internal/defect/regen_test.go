@@ -1,8 +1,13 @@
 package defect
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitmat"
+	"repro/internal/lfg"
 )
 
 // TestRegenerateMatchesGenerate pins the scratch-reuse contract: Regenerate
@@ -88,6 +93,282 @@ func TestIncrementalCachesMatchRescan(t *testing.T) {
 		if s.Open != wantOpen || s.Closed != wantClosed {
 			t.Fatalf("step %d: Summarize counts %d/%d, want %d/%d",
 				step, s.Open, s.Closed, wantOpen, wantClosed)
+		}
+	}
+}
+
+// oracleGenerate is the per-cell sampler the word-level Regenerate replaced,
+// kept as its oracle: one Float64 per crosspoint in row-major order,
+// stuck-open below POpen, stuck-closed below POpen+PClosed.
+func oracleGenerate(rows, cols int, p Params, rng *rand.Rand) *Map {
+	m := NewMap(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			u := rng.Float64()
+			switch {
+			case u < p.POpen:
+				m.Set(r, c, StuckOpen)
+			case u < p.POpen+p.PClosed:
+				m.Set(r, c, StuckClosed)
+			}
+		}
+	}
+	return m
+}
+
+// sameMap fails unless got and want agree cell by cell and in every cache.
+func sameMap(t *testing.T, context string, got, want *Map) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: %dx%d map, want %dx%d", context, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("%s: maps differ:\n%s\nwant\n%s", context, got, want)
+	}
+	if gs, ws := got.Summarize(), want.Summarize(); gs != ws {
+		t.Fatalf("%s: summaries differ: %+v, want %+v", context, gs, ws)
+	}
+	for r := 0; r < got.Rows; r++ {
+		if !bitmat.Equal(got.FunctionalRow(r), want.FunctionalRow(r)) || got.RowHasClosed(r) != want.RowHasClosed(r) {
+			t.Fatalf("%s: row %d caches differ", context, r)
+		}
+	}
+	for c := 0; c < got.Cols; c++ {
+		if got.ClosedInColumn(c) != want.ClosedInColumn(c) || got.ColHasClosed(c) != want.ColHasClosed(c) {
+			t.Fatalf("%s: column %d caches differ", context, c)
+		}
+	}
+	if !bitmat.Equal(got.ClosedCols(), want.ClosedCols()) || !bitmat.Equal(got.ClosedRows(), want.ClosedRows()) {
+		t.Fatalf("%s: closed-line masks differ", context)
+	}
+}
+
+var oracleParams = []Params{
+	{}, {POpen: 0.10}, {POpen: 0.05}, {POpen: 0.2, PClosed: 0.01},
+	{POpen: 0.15, PClosed: 0.03}, {POpen: 0.5, PClosed: 0.5}, {POpen: 1}, {PClosed: 1},
+}
+
+// TestRegenerateMatchesOracle: from the same stream, the word-level sampler
+// builds the oracle's map, through the harness's bulk source and through a
+// *rand.Rand drawn value by value, over widths on both sides of a word
+// boundary and consecutive trials on one scratch map.
+func TestRegenerateMatchesOracle(t *testing.T) {
+	for _, cols := range []int{1, 7, 63, 64, 65, 130, 44} {
+		for pi, p := range oracleParams {
+			rows := 1 + (cols*7+pi)%23
+			seed := int64(cols*1000 + pi)
+			bulk, perDraw := NewMap(rows, cols), NewMap(rows, cols)
+			src := lfg.New(seed)
+			rng := rand.New(rand.NewSource(seed))
+			ref := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 3; trial++ {
+				if err := bulk.Regenerate(p, src); err != nil {
+					t.Fatal(err)
+				}
+				if err := perDraw.Regenerate(p, rng); err != nil {
+					t.Fatal(err)
+				}
+				want := oracleGenerate(rows, cols, p, ref)
+				context := fmt.Sprintf("%dx%d %+v trial %d", rows, cols, p, trial)
+				sameMap(t, context+" (lfg)", bulk, want)
+				sameMap(t, context+" (rand.Rand)", perDraw, want)
+			}
+			// The streams stay in step after the trials.
+			if got, want := src.Int63(), ref.Int63(); got != want {
+				t.Fatalf("%dx%d %+v: stream position drifted", rows, cols, p)
+			}
+		}
+	}
+}
+
+// TestThresholdIsExactBoundary pins the integer form of u < p: T is the
+// first Int63 value whose Float64 reaches p, float64(T-1)/2⁶³ < p ≤
+// float64(T)/2⁶³, for the study rates, their float neighbours, and the
+// float sums POpen+PClosed the stuck-closed threshold uses.
+func TestThresholdIsExactBoundary(t *testing.T) {
+	check := func(p float64, T int64) {
+		t.Helper()
+		if T < 0 || T > redrawFrom {
+			t.Fatalf("threshold(%v) = %d outside [0, redrawFrom]", p, T)
+		}
+		if T > 0 && !(float64(T-1)/(1<<63) < p) {
+			t.Fatalf("threshold(%v) = %d: value %d below it has Float64 %v, not below p", p, T, T-1, float64(T-1)/(1<<63))
+		}
+		if !(p <= float64(T)/(1<<63)) {
+			t.Fatalf("threshold(%v) = %d: its Float64 %v is below p", p, T, float64(T)/(1<<63))
+		}
+	}
+	var rates []float64
+	for _, p := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.3, 1} {
+		for _, q := range []float64{math.Nextafter(p, 0), p, math.Nextafter(p, 1)} {
+			if q >= 0 && q <= 1 {
+				rates = append(rates, q)
+			}
+		}
+	}
+	for _, p := range rates {
+		check(p, threshold(p))
+	}
+	for _, open := range rates {
+		for _, closed := range rates {
+			p := Params{POpen: open, PClosed: closed}
+			if p.validate(rand.New(rand.NewSource(1))) != nil {
+				continue
+			}
+			c := cutFor(p)
+			check(open, c.open)
+			check(open+closed, c.defect)
+		}
+	}
+	if threshold(0) != 0 || threshold(1) != redrawFrom {
+		t.Fatalf("threshold(0), threshold(1) = %d, %d; want 0, redrawFrom", threshold(0), threshold(1))
+	}
+}
+
+// scriptedSource replays a math/rand stream with the values of inject
+// spliced in before the draws they are keyed by. It is a rand.Source, so
+// rand.New(scriptedSource) drives the Float64 oracle from the same values.
+type scriptedSource struct {
+	base   *rand.Rand
+	inject map[int][]int64
+	n      int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	i := s.n
+	s.n++
+	if q := s.inject[i]; len(q) > 0 {
+		s.inject[i] = q[1:]
+		s.n-- // the next value is still keyed by i
+		return q[0]
+	}
+	return s.base.Int63()
+}
+
+func (s *scriptedSource) Seed(int64) { panic("scriptedSource is not reseedable") }
+
+// scriptedBulk is the same script behind the bulk-draw interface, so
+// Regenerate takes its row-at-a-time path.
+type scriptedBulk struct{ *scriptedSource }
+
+func (s scriptedBulk) Int63s(dst []int64) {
+	for i := range dst {
+		dst[i] = s.Int63()
+	}
+}
+
+func newScript(seed int64, inject map[int][]int64) *scriptedSource {
+	cp := make(map[int][]int64, len(inject))
+	for k, v := range inject {
+		cp[k] = append([]int64(nil), v...)
+	}
+	return &scriptedSource{base: rand.New(rand.NewSource(seed)), inject: cp}
+}
+
+// TestRedrawZoneMatchesOracle feeds values Float64 redraws (≥ 2⁶³−512) in
+// the middle of rows, on a row's last cell, at word boundaries and in runs,
+// plus the largest values it keeps: the map and the stream position must
+// match the Float64 oracle driven by rand.New over the same script.
+func TestRedrawZoneMatchesOracle(t *testing.T) {
+	zone := []int64{redrawFrom, 1<<63 - 1, redrawFrom + 1, 1<<63 - 100}
+	kept := []int64{redrawFrom - 1, redrawFrom - 512, 0}
+	gen := rand.New(rand.NewSource(77))
+	for _, cols := range []int{1, 5, 63, 64, 65, 130} {
+		for _, p := range []Params{{POpen: 0.10}, {POpen: 0.2, PClosed: 0.05}, {POpen: 1}} {
+			const rows = 6
+			// Explicit positions: a row's last draw, the draw right after
+			// it, a word boundary, and a run of three at one position.
+			inject := map[int][]int64{
+				cols - 1:       {zone[0]},
+				cols:           {zone[1]},
+				2*cols + 3:     {zone[2], zone[3], zone[0]},
+				3*cols + 63:    {zone[1]},
+				4 * cols / 2:   {kept[0]},
+				rows*cols - 1:  {zone[2]},
+				rows*cols + 10: {zone[3]}, // during the final top-up
+			}
+			// And random ones at a few percent of draws.
+			for k := 0; k < rows*cols; k++ {
+				switch gen.Intn(40) {
+				case 0:
+					inject[k] = append(inject[k], zone[gen.Intn(len(zone))])
+				case 1:
+					inject[k] = append(inject[k], kept[gen.Intn(len(kept))])
+				}
+			}
+			for _, bulk := range []bool{false, true} {
+				seed := int64(cols)
+				var src Source = newScript(seed, inject)
+				if bulk {
+					src = scriptedBulk{src.(*scriptedSource)}
+				}
+				m := NewMap(rows, cols)
+				m.ResetDelta()
+				if err := m.Regenerate(p, src); err != nil {
+					t.Fatal(err)
+				}
+				oracleSrc := newScript(seed, inject)
+				want := oracleGenerate(rows, cols, p, rand.New(oracleSrc))
+				sameMap(t, fmt.Sprintf("cols %d %+v bulk %v", cols, p, bulk), m, want)
+				if got, want := src.Int63(), oracleSrc.Int63(); got != want {
+					t.Fatalf("cols %d %+v bulk %v: stream position drifted", cols, p, bulk)
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaWindowMatchesOracleDiff: after ResetDelta and one Regenerate, the
+// window marks exactly the rows and columns holding a cell whose kind the
+// oracle's snapshot diff says changed — open↔closed flips included — and
+// the version advances exactly when the map changed.
+func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
+	for _, tc := range []struct {
+		p          Params
+		rows, cols int
+	}{
+		{Params{POpen: 0.01}, 40, 70},
+		{Params{POpen: 0.3, PClosed: 0.3}, 40, 70},
+		{Params{}, 40, 70},
+		// Every cell is defective, so every change is an open↔closed flip
+		// that leaves the functional plane alone; the small map leaves some
+		// lines unchanged from one trial to the next.
+		{Params{POpen: 0.5, PClosed: 0.5}, 40, 70},
+		{Params{POpen: 0.5, PClosed: 0.5}, 3, 4},
+	} {
+		p, rows, cols := tc.p, tc.rows, tc.cols
+		m := NewMap(rows, cols)
+		src := lfg.New(1234)
+		ref := rand.New(rand.NewSource(1234))
+		prev := NewMap(rows, cols)
+		for trial := 0; trial < 40; trial++ {
+			m.ResetDelta()
+			v := m.Version()
+			if err := m.Regenerate(p, src); err != nil {
+				t.Fatal(err)
+			}
+			next := oracleGenerate(rows, cols, p, ref)
+			sameMap(t, fmt.Sprintf("%dx%d %+v trial %d", rows, cols, p, trial), m, next)
+			wantRows, wantCols := bitmat.NewRow(rows), bitmat.NewRow(cols)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					if prev.At(r, c) != next.At(r, c) {
+						wantRows.Set(r)
+						wantCols.Set(c)
+					}
+				}
+			}
+			if m.DeltaAll() {
+				t.Fatalf("%+v trial %d: an open window degraded to all-dirty", p, trial)
+			}
+			if !bitmat.Equal(m.DeltaRows(), wantRows) || !bitmat.Equal(m.DeltaCols(), wantCols) {
+				t.Fatalf("%+v trial %d: window rows %v cols %v, oracle diff rows %v cols %v",
+					p, trial, m.DeltaRows(), m.DeltaCols(), wantRows, wantCols)
+			}
+			if changed := wantRows.Any(); changed != (m.Version() != v) {
+				t.Fatalf("%+v trial %d: map changed %v but version moved %v", p, trial, changed, m.Version() != v)
+			}
+			prev = next
 		}
 	}
 }

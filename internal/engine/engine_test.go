@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,6 +26,14 @@ func mcSpec(seed int64) JobSpec {
 	s.OpenRate = 0.10
 	s.Samples = 40
 	s.Seed = seed
+	return s
+}
+
+// holdSpec is mcSpec with enough samples to keep one worker busy for
+// milliseconds, for tests that need a job still running.
+func holdSpec(seed int64) JobSpec {
+	s := mcSpec(seed)
+	s.Samples = 2000
 	return s
 }
 
@@ -125,6 +134,26 @@ func TestMonteCarloSetupErrorFailsJob(t *testing.T) {
 	// A healthy spec still succeeds, so the checks don't over-trigger.
 	if r := Execute(context.Background(), mcSpec(1)); r.Err != "" {
 		t.Fatalf("healthy spec failed: %s", r.Err)
+	}
+}
+
+// TestNonFiniteDefectRatesFailJobs: a NaN rate compares false with both
+// bounds of a range check, so unless it is rejected explicitly it samples a
+// defect-free fabric and reads as Psucc 1. Every sampling job kind must
+// fail on NaN and ±Inf.
+func TestNonFiniteDefectRatesFailJobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, kind := range []Kind{MonteCarloYield, MapHBA, MapEA} {
+		for _, rates := range [][2]float64{{nan, 0}, {0.1, nan}, {inf, 0}, {0, inf}, {-inf, 0}, {0.1, -inf}} {
+			spec := mcSpec(1)
+			spec.Kind = kind
+			spec.OpenRate, spec.ClosedRate = rates[0], rates[1]
+			r := Execute(context.Background(), spec)
+			if !strings.Contains(r.Err, "invalid probabilities") {
+				t.Errorf("%s with open %v closed %v: err %q, Psucc %v, valid %v; want an invalid-probabilities error",
+					kind, rates[0], rates[1], r.Err, r.Psucc, r.Valid)
+			}
+		}
 	}
 }
 
@@ -265,12 +294,12 @@ func TestEngineAdmissionControl(t *testing.T) {
 	if _, err := e.Submit(context.Background(), []JobSpec{mcSpec(8), mcSpec(9)}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch error = %v, want ErrBatchTooLarge", err)
 	}
-	a, err := e.Submit(context.Background(), []JobSpec{mcSpec(1)})
+	// The first job holds the lone worker for milliseconds, so it is still
+	// unfinished when the second submission exceeds MaxQueuedJobs.
+	a, err := e.Submit(context.Background(), []JobSpec{holdSpec(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first job is admitted but unfinished, so a second submission
-	// exceeds MaxQueuedJobs deterministically.
 	if _, err := e.Submit(context.Background(), []JobSpec{mcSpec(2)}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-limit submit error = %v, want ErrOverloaded", err)
 	}
@@ -290,7 +319,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 
 	eb := New(Options{Workers: 1, MaxBatches: 1, CacheSize: -1})
 	defer eb.Close()
-	a, err = eb.Submit(context.Background(), []JobSpec{mcSpec(3)})
+	a, err = eb.Submit(context.Background(), []JobSpec{holdSpec(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/defect"
+	"repro/internal/lfg"
 	"repro/internal/logic"
 	"repro/internal/mapping"
 	"repro/internal/minimize"
@@ -329,9 +329,8 @@ func executeMonteCarlo(ctx context.Context, spec JobSpec) (JobResult, error) {
 // experiment studies that map under their own algorithm variants. Build one
 // per batch: it owns one defect map of the layout's rows plus spareRows,
 // regenerated in place per trial, and one mapping scratch, so the trial
-// loop is allocation-free in steady state; Regenerate consumes the rng
-// exactly like Generate, so a fresh map per trial would give the same
-// results. Only algo is timed. A trial that cannot be set up (problem
+// loop is allocation-free in steady state; a fresh map per trial would give
+// the same results. Only algo is timed. A trial that cannot be set up (problem
 // construction, defect regeneration) reports Outcome.Err, which fails the
 // batch instead of counting as a failed sample that would silently depress
 // Psucc.
@@ -340,11 +339,11 @@ func MappingTrial(l *xbar.Layout, spareRows int, params defect.Params,
 	dm := defect.NewMap(l.Rows+spareRows, l.Cols)
 	scratch := mapping.NewScratch()
 	p, pErr := mapping.NewProblem(l, dm)
-	return func(i int, rng *rand.Rand) montecarlo.Outcome {
+	return func(i int, src *lfg.Source) montecarlo.Outcome {
 		if pErr != nil {
 			return montecarlo.Outcome{Err: pErr}
 		}
-		if err := dm.Regenerate(params, rng); err != nil {
+		if err := dm.Regenerate(params, src); err != nil {
 			return montecarlo.Outcome{Err: err}
 		}
 		start := time.Now()
@@ -366,12 +365,12 @@ func algorithmByName(name string) (func(*mapping.Problem, *mapping.Scratch) mapp
 }
 
 // jobDefectMap resolves the fabric for a single-map job: explicit rows when
-// given, otherwise one sampled map.
+// given, otherwise one map sampled from the spec's seed.
 func jobDefectMap(spec JobSpec, l *xbar.Layout) (*defect.Map, error) {
 	if len(spec.DefectMap) == 0 {
 		return defect.Generate(l.Rows+spec.SpareRows, l.Cols,
 			defect.Params{POpen: spec.OpenRate, PClosed: spec.ClosedRate},
-			rand.New(rand.NewSource(spec.Seed)))
+			lfg.New(spec.Seed))
 	}
 	cols := len(spec.DefectMap[0])
 	dm := defect.NewMap(len(spec.DefectMap), cols)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/defect"
+	"repro/internal/lfg"
 	"repro/internal/mapping"
 	"repro/internal/minimize"
 	"repro/internal/montecarlo"
@@ -72,11 +72,11 @@ func ClosedTolerance(circuit string, closedRates []float64, sparePairs, spareRow
 			rowScratch := mapping.NewScratch()
 			colScratch := mapping.NewColumnScratch()
 			_, err := montecarlo.Run(montecarlo.Options{Samples: samples, Seed: seed},
-				func(i int, rng *rand.Rand) montecarlo.Outcome {
+				func(i int, src *lfg.Source) montecarlo.Outcome {
 					if fpErr != nil {
 						return montecarlo.Outcome{Err: fpErr}
 					}
-					if genErr := dm.Regenerate(defect.Params{POpen: openRate, PClosed: rate}, rng); genErr != nil {
+					if genErr := dm.Regenerate(defect.Params{POpen: openRate, PClosed: rate}, src); genErr != nil {
 						return montecarlo.Outcome{Err: genErr}
 					}
 					mapping.ProjectDefectsInto(fdm, dm, spec, l, fixedAssign)

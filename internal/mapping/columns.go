@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/defect"
+	"repro/internal/lfg"
 	"repro/internal/xbar"
 )
 
@@ -170,7 +171,7 @@ func ColumnAwareScratch(l *xbar.Layout, dm *defect.Map, spec FabricSpec, opt Col
 	s.refreshColumnView(dm)
 	s.greedyColumns(l, dm, spec)
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(opt.Seed))
+		s.rng = rand.New(lfg.New(opt.Seed))
 	} else {
 		s.rng.Seed(opt.Seed)
 	}

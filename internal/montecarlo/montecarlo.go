@@ -3,18 +3,20 @@
 // of parameter values stabilize nearly after this threshold value") with
 // per-sample derived random seeds, success-rate accounting, and timing.
 //
-// A batch runs serially on the calling goroutine: one *rand.Rand is
-// reseeded from (Seed, sample index) before every trial, so a sample's
-// outcome depends on nothing but those two values. Studies that want many
-// cores run many batches at once through the compilation engine, one batch
-// per job, and get bit-identical summaries.
+// A batch runs serially on the calling goroutine: one lfg.Source, the
+// math/rand-identical stream, is reseeded from (Seed, sample index) before
+// every trial, so a sample's outcome depends on nothing but those two
+// values (package lfg states the reproducibility contract). Studies that
+// want many cores run many batches at once through the compilation engine,
+// one batch per job, and get bit-identical summaries.
 package montecarlo
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
+
+	"repro/internal/lfg"
 )
 
 // DefaultSamples is the paper's Monte Carlo sample size.
@@ -34,12 +36,12 @@ type Outcome struct {
 	Err error
 }
 
-// Trial runs one sample. The rng is derived deterministically from the
-// harness seed and the sample index, so trials are reproducible and order
-// independent. A batch calls one Trial for every sample, so a trial closure
-// can own private scratch state — preallocated defect maps, mapping
-// buffers — that is reused across the batch's samples.
-type Trial func(sample int, rng *rand.Rand) Outcome
+// Trial runs one sample. src is seeded with SampleSeed(seed, sample), so
+// trials are reproducible and order independent; it is the batch's one
+// source, valid only during the call. A batch calls one Trial for every
+// sample, so a trial closure can own private scratch state — preallocated
+// defect maps, mapping buffers — that is reused across the batch's samples.
+type Trial func(sample int, src *lfg.Source) Outcome
 
 // Summary aggregates a batch.
 type Summary struct {
@@ -74,11 +76,10 @@ func Run(opt Options, trial Trial) (Summary, error) {
 	if n < 0 {
 		return Summary{}, fmt.Errorf("montecarlo: negative sample count %d", n)
 	}
-	// One rng for the whole batch, reseeded per sample: no per-trial
-	// source allocation.
-	rng := rand.New(rand.NewSource(0))
+	// One source for the whole batch, reseeded per sample: no per-trial
+	// allocation.
 	s := Summary{Samples: n}
-	if err := runSerial(opt, trial, rng, &s); err != nil {
+	if err := runSerial(opt, trial, lfg.New(0), &s); err != nil {
 		return Summary{}, err
 	}
 	if n > 0 {
@@ -94,7 +95,7 @@ func Run(opt Options, trial Trial) (Summary, error) {
 // cost is the trial's own.
 //
 //xbar:hotpath
-func runSerial(opt Options, trial Trial, rng *rand.Rand, s *Summary) error {
+func runSerial(opt Options, trial Trial, src *lfg.Source, s *Summary) error {
 	for i := 0; i < s.Samples; i++ {
 		if opt.Context != nil {
 			//xbar:allow hotpath-alloc cancellation poll is an interface call, not an allocation
@@ -102,9 +103,9 @@ func runSerial(opt Options, trial Trial, rng *rand.Rand, s *Summary) error {
 				return err
 			}
 		}
-		rng.Seed(SampleSeed(opt.Seed, i))
+		src.Seed(SampleSeed(opt.Seed, i))
 		//xbar:allow hotpath-alloc the trial callback is the experiment body; its own hot paths carry their own annotations
-		o := trial(i, rng)
+		o := trial(i, src)
 		if o.Err != nil {
 			return o.Err
 		}
@@ -116,9 +117,10 @@ func runSerial(opt Options, trial Trial, rng *rand.Rand, s *Summary) error {
 	return nil
 }
 
-// SampleSeed derives the per-sample rng seed from the harness seed — the
+// SampleSeed derives the per-sample seed from the harness seed — the
 // schedule every trial's randomness comes from, exported so benchmarks and
-// external replays can reproduce individual samples exactly.
+// external replays can reproduce individual samples exactly, with an
+// lfg.Source or with rand.NewSource.
 //
 //xbar:hotpath
 func SampleSeed(seed int64, sample int) int64 {

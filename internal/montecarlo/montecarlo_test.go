@@ -7,15 +7,17 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/lfg"
 )
 
-// draws runs a batch whose trial records each sample's first rng draw, in
-// the order the samples run.
-func draws(t *testing.T, samples int, seed int64) []float64 {
+// draws runs a batch whose trial records each sample's first draw, in the
+// order the samples run.
+func draws(t *testing.T, samples int, seed int64) []int64 {
 	t.Helper()
-	var got []float64
-	if _, err := Run(Options{Samples: samples, Seed: seed}, func(i int, rng *rand.Rand) Outcome {
-		got = append(got, rng.Float64())
+	var got []int64
+	if _, err := Run(Options{Samples: samples, Seed: seed}, func(i int, src *lfg.Source) Outcome {
+		got = append(got, src.Int63())
 		return Outcome{}
 	}); err != nil {
 		t.Fatal(err)
@@ -25,7 +27,7 @@ func draws(t *testing.T, samples int, seed int64) []float64 {
 
 func TestRunBasics(t *testing.T) {
 	var order []int
-	s, err := Run(Options{Samples: 100, Seed: 1}, func(i int, rng *rand.Rand) Outcome {
+	s, err := Run(Options{Samples: 100, Seed: 1}, func(i int, src *lfg.Source) Outcome {
 		order = append(order, i)
 		return Outcome{Success: i%2 == 0, Elapsed: time.Millisecond}
 	})
@@ -51,7 +53,7 @@ func TestRunBasics(t *testing.T) {
 func TestRunMemoryIndependentOfSamples(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Run(Options{Samples: 1_000_000}, func(i int, rng *rand.Rand) Outcome { return Outcome{} }); err != nil {
+	if _, err := Run(Options{Samples: 1_000_000}, func(i int, src *lfg.Source) Outcome { return Outcome{} }); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -61,7 +63,7 @@ func TestRunMemoryIndependentOfSamples(t *testing.T) {
 }
 
 func TestRunDefaults(t *testing.T) {
-	s, err := Run(Options{}, func(i int, rng *rand.Rand) Outcome { return Outcome{} })
+	s, err := Run(Options{}, func(i int, src *lfg.Source) Outcome { return Outcome{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(Options{}, nil); err == nil {
 		t.Error("nil trial must fail")
 	}
-	if _, err := Run(Options{Samples: -1}, func(i int, rng *rand.Rand) Outcome { return Outcome{} }); err == nil {
+	if _, err := Run(Options{Samples: -1}, func(i int, src *lfg.Source) Outcome { return Outcome{} }); err == nil {
 		t.Error("negative samples must fail")
 	}
 }
@@ -83,7 +85,7 @@ func TestRunErrors(t *testing.T) {
 // with the first such error in sample order instead of counting as a
 // failed sample.
 func TestRunTrialErrorFailsBatch(t *testing.T) {
-	_, err := Run(Options{Samples: 20}, func(i int, rng *rand.Rand) Outcome {
+	_, err := Run(Options{Samples: 20}, func(i int, src *lfg.Source) Outcome {
 		if i >= 5 {
 			return Outcome{Err: fmt.Errorf("sample %d", i)}
 		}
@@ -111,7 +113,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Run(Options{Samples: 100, Seed: 1, Context: ctx},
-		func(i int, rng *rand.Rand) Outcome { return Outcome{} })
+		func(i int, src *lfg.Source) Outcome { return Outcome{} })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -120,11 +122,11 @@ func TestRunContextCancellation(t *testing.T) {
 func TestRunFactoryPerWorkerState(t *testing.T) {
 	// A trial's private scratch state persists across the batch's samples,
 	// and owning it does not change the draws.
-	var got []float64
+	var got []int64
 	claimed := 0
-	s, err := Run(Options{Samples: 20, Seed: 3}, func(i int, rng *rand.Rand) Outcome {
+	s, err := Run(Options{Samples: 20, Seed: 3}, func(i int, src *lfg.Source) Outcome {
 		claimed++
-		got = append(got, rng.Float64())
+		got = append(got, src.Int63())
 		return Outcome{Success: claimed == i+1}
 	})
 	if err != nil {
@@ -149,5 +151,24 @@ func TestRunSamplesIndependentOfNeighbours(t *testing.T) {
 		if small[i] != big[i] {
 			t.Fatalf("sample %d changed with batch size", i)
 		}
+	}
+}
+
+// TestSampleStreamIsMathRand pins the reproducibility contract: sample i
+// draws exactly what rand.NewSource(SampleSeed(seed, i)) draws, so Psucc
+// does not depend on which of the two generators a replay uses.
+func TestSampleStreamIsMathRand(t *testing.T) {
+	const samples, perSample = 30, 300
+	seed := int64(-2018)
+	if _, err := Run(Options{Samples: samples, Seed: seed}, func(i int, src *lfg.Source) Outcome {
+		ref := rand.New(rand.NewSource(SampleSeed(seed, i)))
+		for k := 0; k < perSample; k++ {
+			if got, want := src.Int63(), ref.Int63(); got != want {
+				return Outcome{Err: fmt.Errorf("sample %d draw %d: %d, want %d", i, k, got, want)}
+			}
+		}
+		return Outcome{}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

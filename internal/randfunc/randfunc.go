@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/lfg"
 	"repro/internal/logic"
 )
 
@@ -100,7 +101,7 @@ func randomCube(p Params, rng *rand.Rand) logic.Cube {
 func GenerateBatch(p Params, count int, seed int64) ([]*logic.Cover, error) {
 	out := make([]*logic.Cover, count)
 	for i := range out {
-		rng := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
+		rng := rand.New(lfg.New(seed + int64(i)*1_000_003))
 		c, err := Generate(p, rng)
 		if err != nil {
 			return nil, err

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/lfg"
 	"repro/internal/logic"
 )
 
@@ -224,7 +225,7 @@ func buildSquar5(c Circuit) *logic.Cover {
 // and product-to-output connections so the layout's inclusion ratio
 // approximates the published IR.
 func buildProfile(c Circuit) *logic.Cover {
-	rng := rand.New(rand.NewSource(profileSeed(c.Name)))
+	rng := rand.New(lfg.New(profileSeed(c.Name)))
 	area := float64((c.Products + c.Outputs) * (2*c.Inputs + 2*c.Outputs))
 	// Devices = sum over products of (literals + output memberships) + 2*O.
 	perProduct := 3.0 // default density when the paper publishes no IR

@@ -50,12 +50,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"time"
 
 	"repro/internal/defect"
 	"repro/internal/engine"
+	"repro/internal/lfg"
 	"repro/internal/logic"
 	"repro/internal/mapping"
 	"repro/internal/minimize"
@@ -245,7 +245,7 @@ type DefectMap struct {
 // uses openRate=0.10, closedRate=0).
 func GenerateDefects(rows, cols int, openRate, closedRate float64, seed int64) (*DefectMap, error) {
 	m, err := defect.Generate(rows, cols, defect.Params{POpen: openRate, PClosed: closedRate},
-		rand.New(rand.NewSource(seed)))
+		lfg.New(seed))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package memxbar
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,17 @@ func TestDualSelection(t *testing.T) {
 	two, _ := SynthesizeTwoLevel(f)
 	if d.Area() >= two.Area() {
 		t.Errorf("dual area %d should beat direct %d", d.Area(), two.Area())
+	}
+}
+
+// TestGenerateDefectsRejectsNonFiniteRates: NaN and ±Inf rates are errors,
+// not a defect-free fabric.
+func TestGenerateDefectsRejectsNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, rates := range [][2]float64{{nan, 0}, {0, nan}, {inf, 0}, {0, inf}, {-inf, 0}, {0.1, -inf}} {
+		if dm, err := GenerateDefects(8, 8, rates[0], rates[1], 1); err == nil {
+			t.Errorf("open %v closed %v: accepted, %v", rates[0], rates[1], dm)
+		}
 	}
 }
 
