@@ -3,7 +3,6 @@ package bitmat
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // TestMatchRowAgainstWidths sweeps the kernels across the widths that
@@ -91,58 +90,6 @@ func TestMatchSingleAndMultiWordAgree(t *testing.T) {
 			t.Fatalf("trial %d (%dx%d): single-word and multi-word kernels disagree", trial, rows, cols)
 		}
 	}
-}
-
-// TestTransposeUpdateQuick is the incremental-transpose property: after a
-// random sequence of bit mutations to the source, TransposeUpdate applied
-// with the exact dirty row/column masks reproduces, block for block, what a
-// full TransposeInto of the mutated source builds.
-func TestTransposeUpdateQuick(t *testing.T) {
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dims := []int{1, 2, 63, 64, 65, 120, 128, 130}
-		rows := dims[rng.Intn(len(dims))]
-		cols := dims[rng.Intn(len(dims))]
-		m := randMatrix(rng, rows, cols, 0.4)
-		view := TransposeInto(nil, m)
-
-		dirtyRows, dirtyCols := NewRow(rows), NewRow(cols)
-		for n := rng.Intn(20); n > 0; n-- {
-			r, c := rng.Intn(rows), rng.Intn(cols)
-			if rng.Intn(2) == 0 {
-				m.Set(r, c)
-			} else {
-				m.Clear(r, c)
-			}
-			dirtyRows.Set(r)
-			dirtyCols.Set(c)
-		}
-		TransposeUpdate(view, m, dirtyRows, dirtyCols)
-
-		want := TransposeInto(nil, m)
-		for c := 0; c < cols; c++ {
-			if !Equal(view.Row(c), want.Row(c)) {
-				t.Logf("seed %d (%dx%d): incremental view wrong at column %d", seed, rows, cols, c)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTransposeUpdateDimMismatch pins the desync guard: refreshing a view
-// whose shape does not match the source must panic, not silently corrupt.
-func TestTransposeUpdateDimMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TransposeUpdate accepted a mismatched view")
-		}
-	}()
-	m := New(10, 20)
-	TransposeUpdate(New(10, 20), m, NewRow(10), NewRow(20))
 }
 
 // FuzzMatchRowAgainst drives the batch kernels with fuzz-shaped matrices and

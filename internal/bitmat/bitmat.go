@@ -261,15 +261,6 @@ func (m *Matrix) Set(r, c int) { m.Row(r).Set(c) }
 //xbar:hotpath
 func (m *Matrix) Clear(r, c int) { m.Row(r).Clear(c) }
 
-// Zero clears the whole matrix in place.
-//
-//xbar:hotpath
-func (m *Matrix) Zero() {
-	for i := range m.bits {
-		m.bits[i] = 0
-	}
-}
-
 // Fill sets every in-range cell, keeping the trailing bits of each row's
 // last word zero (the packed-row contract).
 //

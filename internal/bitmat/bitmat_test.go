@@ -120,10 +120,6 @@ func TestMatrix(t *testing.T) {
 	if !Equal(m.Row(0), full.Row(0)) {
 		t.Fatal("Fill set trailing garbage bits")
 	}
-	m.Zero()
-	if m.Row(0).Any() || m.Row(2).Any() {
-		t.Fatal("Zero failed")
-	}
 }
 
 func TestFillExactWordBoundary(t *testing.T) {

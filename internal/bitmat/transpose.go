@@ -58,57 +58,6 @@ func TransposeInto(dst, src *Matrix) *Matrix {
 	return dst
 }
 
-// TransposeUpdate refreshes an existing column-major view in place after src
-// changed, recomputing only the 64×64 blocks that intersect a dirty source
-// row AND a dirty source column (dirtyRows/dirtyCols are packed masks over
-// src's rows and columns, e.g. a defect.Map delta window). Blocks are
-// 64-aligned, so "intersects" is a one-word mask test per block. Each touched
-// block is rebuilt from src, so a conservative (superset) dirty mask is
-// harmless. dst must be a view of this src previously built by TransposeInto
-// (dst.Rows == src.Cols, dst.Cols == src.Rows); anything else panics rather
-// than silently desynchronizing the view.
-//
-//xbar:hotpath
-func TransposeUpdate(dst, src *Matrix, dirtyRows, dirtyCols Row) {
-	if dst == nil || dst.Rows != src.Cols || dst.Cols != src.Rows {
-		panic("bitmat: TransposeUpdate on a view with mismatched dimensions")
-	}
-	if src.Rows == 0 || src.Cols == 0 {
-		return
-	}
-	var blk [64]uint64
-	for rb := 0; rb < src.Rows; rb += 64 {
-		if dirtyRows[rb>>6] == 0 {
-			continue
-		}
-		cw := rb >> 6
-		nr := src.Rows - rb
-		if nr > 64 {
-			nr = 64
-		}
-		for cb := 0; cb < src.Cols; cb += 64 {
-			if dirtyCols[cb>>6] == 0 {
-				continue
-			}
-			sw := cb >> 6
-			for i := 0; i < nr; i++ {
-				blk[i] = src.bits[(rb+i)*src.words+sw]
-			}
-			for i := nr; i < 64; i++ {
-				blk[i] = 0
-			}
-			transpose64(&blk)
-			nc := src.Cols - cb
-			if nc > 64 {
-				nc = 64
-			}
-			for c := 0; c < nc; c++ {
-				dst.bits[(cb+c)*dst.words+cw] = blk[c]
-			}
-		}
-	}
-}
-
 // transpose64 transposes a 64×64 bit block in place (bit c of word r moves
 // to bit r of word c) by recursive halving: swap the off-diagonal 32×32
 // quadrants, then the 16×16 quadrants within each half, and so on down to

@@ -42,8 +42,8 @@ func (k Kind) String() string {
 // of the paper's Fig. 8(b). It is stored as two word-packed planes under the
 // packed-row contract of internal/bitmat — the functional plane (the CM) and
 // the stuck-closed plane; a cell in neither is stuck open — plus per-line
-// stuck-closed caches. Every mutation goes through Set, Reset or Regenerate,
-// which keep the caches current, so RowHasClosed / ColHasClosed are O(1) and the
+// stuck-closed caches. Every mutation goes through Set or Regenerate, which
+// keep the caches current, so RowHasClosed / ColHasClosed are O(1) and the
 // mapping hot path tests row compatibility with word operations.
 type Map struct {
 	Rows, Cols int
@@ -68,15 +68,8 @@ type Map struct {
 	draws []int64
 	cut   cut
 
-	// Delta window (see delta.go): version counts effective mutations;
-	// deltaRows/deltaCols mark the lines changed since the last ResetDelta,
-	// unless deltaAll says the whole map must be treated as dirty. deltaBase
-	// is the version the window started at.
-	version   uint64
-	deltaBase uint64
-	deltaAll  bool
-	deltaRows bitmat.Row
-	deltaCols bitmat.Row
+	// version counts effective mutations (see Version).
+	version uint64
 }
 
 // NewMap returns an all-functional defect map.
@@ -84,22 +77,19 @@ func NewMap(rows, cols int) *Map {
 	if rows < 0 || cols < 0 {
 		panic("defect: negative dimensions")
 	}
-	// All four per-line masks (closed-row/col caches and the delta window)
-	// share one backing slice, and so do the two per-line counters.
-	rw, cw := bitmat.Words(rows), bitmat.Words(cols)
-	masks := make([]uint64, 2*rw+2*cw)
+	// The two closed-line masks share one backing slice, and so do the two
+	// per-line counters.
+	rw := bitmat.Words(rows)
+	masks := make([]uint64, rw+bitmat.Words(cols))
 	counts := make([]int32, rows+cols)
 	m := &Map{
 		Rows:          rows,
 		Cols:          cols,
 		closedRow:     counts[:rows:rows],
 		closedCol:     counts[rows:],
-		closedRowMask: masks[0:rw:rw],
-		closedColMask: masks[rw : rw+cw : rw+cw],
+		closedRowMask: masks[:rw:rw],
+		closedColMask: masks[rw:],
 		draws:         make([]int64, cols),
-		deltaAll:      true,
-		deltaRows:     masks[rw+cw : rw+cw+rw : rw+cw+rw],
-		deltaCols:     masks[rw+cw+rw:],
 	}
 	m.functional.Reshape(rows, cols)
 	m.closed.Reshape(rows, cols)
@@ -163,10 +153,8 @@ func Generate(rows, cols int, p Params, src Source) (*Map, error) {
 // thresholds of p (see cut), and the row's words are written whole. It
 // consumes the stream exactly as the per-cell loop does, one Int63 per
 // crosspoint in row-major order plus one for every value Float64 would
-// redraw, so the map is the one that loop builds from the same stream.
-//
-// An open delta window is narrowed to the exact change: the rows and columns
-// whose words differ, old XOR new, in either plane.
+// redraw, so the map is the one that loop builds from the same stream. The
+// version advances only when some word of either plane changed.
 //
 //xbar:hotpath
 func (m *Map) Regenerate(p Params, src Source) error {
@@ -183,7 +171,7 @@ func (m *Map) Regenerate(p Params, src Source) error {
 	}
 	m.closedColMask.Zero()
 	m.nOpen, m.nClosed = 0, 0
-	track, changed := !m.deltaAll, false
+	var diff uint64
 	draws := m.draws
 	for r := 0; r < m.Rows; r++ {
 		if bulk != nil {
@@ -197,7 +185,6 @@ func (m *Map) Regenerate(p Params, src Source) error {
 		}
 		fRow, cRow := m.functional.Row(r), m.closed.Row(r)
 		var rowClosed int32
-		var rowDiff uint64
 		for w := 0; w < len(fRow); {
 			lo := w * 64
 			cells := draws[lo:min(lo+64, len(draws))]
@@ -208,11 +195,7 @@ func (m *Map) Regenerate(p Params, src Source) error {
 				redraw(draws[lo:], src)
 				continue
 			}
-			d := (fRow[w] ^ f) | (cRow[w] ^ c)
-			rowDiff |= d
-			if track {
-				m.deltaCols[w] |= d
-			}
+			diff |= (fRow[w] ^ f) | (cRow[w] ^ c)
 			fRow[w], cRow[w] = f, c
 			m.nOpen += len(cells) - bits.OnesCount64(f|c)
 			if c != 0 {
@@ -231,14 +214,8 @@ func (m *Map) Regenerate(p Params, src Source) error {
 			m.closedRowMask.Clear(r)
 		}
 		m.nClosed += int(rowClosed)
-		if rowDiff != 0 {
-			changed = true
-			if track {
-				m.deltaRows.Set(r)
-			}
-		}
 	}
-	if changed {
+	if diff != 0 {
 		m.version++
 	}
 	return nil
@@ -337,30 +314,6 @@ func (t cut) pack(cells []int64) (f, c uint64, ok bool) {
 	return ^defective & (^uint64(0) >> (64 - uint(len(cells)))), defective &^ open, zone < top
 }
 
-// Reset clears the map to all-functional in place without allocating: the
-// reuse primitive of the column-aware mapper's scratch projection. Clearing
-// rewrites every cell, so the delta window degrades to all-dirty.
-//
-//xbar:hotpath
-func (m *Map) Reset() {
-	if m.nOpen == 0 && m.nClosed == 0 {
-		return // already all-functional; nothing changed, keep the window
-	}
-	m.functional.Fill()
-	m.closed.Zero()
-	for i := range m.closedRow {
-		m.closedRow[i] = 0
-	}
-	for i := range m.closedCol {
-		m.closedCol[i] = 0
-	}
-	m.closedRowMask.Zero()
-	m.closedColMask.Zero()
-	m.nOpen, m.nClosed = 0, 0
-	m.version++
-	m.deltaAll = true
-}
-
 // At returns the defect kind at (r, c).
 //
 //xbar:hotpath
@@ -387,10 +340,6 @@ func (m *Map) Set(r, c int, k Kind) {
 		return
 	}
 	m.version++
-	if !m.deltaAll {
-		m.deltaRows.Set(r)
-		m.deltaCols.Set(c)
-	}
 	switch old {
 	case OK:
 		m.functional.Clear(r, c)
@@ -422,6 +371,16 @@ func (m *Map) Set(r, c int, k Kind) {
 		}
 	}
 }
+
+// Version returns the mutation counter: it advances every time a cell's kind
+// effectively changes (writes of the current kind are free). Equal versions
+// across two observations guarantee identical map contents in between, so a
+// consumer that caches a view derived from the map (candidate bitsets, a
+// transposed functional view, a projection) records the version it built
+// at and skips the rebuild while the version is unchanged.
+//
+//xbar:hotpath
+func (m *Map) Version() uint64 { return m.version }
 
 // Functional reports whether the device at (r, c) is programmable.
 //

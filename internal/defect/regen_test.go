@@ -303,7 +303,6 @@ func TestRedrawZoneMatchesOracle(t *testing.T) {
 					src = scriptedBulk{src.(*scriptedSource)}
 				}
 				m := NewMap(rows, cols)
-				m.ResetDelta()
 				if err := m.Regenerate(p, src); err != nil {
 					t.Fatal(err)
 				}
@@ -318,10 +317,10 @@ func TestRedrawZoneMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaWindowMatchesOracleDiff: after ResetDelta and one Regenerate, the
-// window marks exactly the rows and columns holding a cell whose kind the
-// oracle's snapshot diff says changed — open↔closed flips included — and
-// the version advances exactly when the map changed.
+// TestDeltaWindowMatchesOracleDiff: over consecutive Regenerates of one map,
+// the version advances exactly when the oracle's snapshot diff says some
+// cell's kind changed — open↔closed flips included — so an unchanged version
+// always means an unchanged map.
 func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
 	for _, tc := range []struct {
 		p          Params
@@ -331,10 +330,11 @@ func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
 		{Params{POpen: 0.3, PClosed: 0.3}, 40, 70},
 		{Params{}, 40, 70},
 		// Every cell is defective, so every change is an open↔closed flip
-		// that leaves the functional plane alone; the small map leaves some
-		// lines unchanged from one trial to the next.
+		// that leaves the functional plane alone; about one trial in four
+		// redraws the 1×2 map unchanged.
 		{Params{POpen: 0.5, PClosed: 0.5}, 40, 70},
 		{Params{POpen: 0.5, PClosed: 0.5}, 3, 4},
+		{Params{POpen: 0.5, PClosed: 0.5}, 1, 2},
 	} {
 		p, rows, cols := tc.p, tc.rows, tc.cols
 		m := NewMap(rows, cols)
@@ -342,30 +342,21 @@ func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
 		ref := rand.New(rand.NewSource(1234))
 		prev := NewMap(rows, cols)
 		for trial := 0; trial < 40; trial++ {
-			m.ResetDelta()
 			v := m.Version()
 			if err := m.Regenerate(p, src); err != nil {
 				t.Fatal(err)
 			}
 			next := oracleGenerate(rows, cols, p, ref)
 			sameMap(t, fmt.Sprintf("%dx%d %+v trial %d", rows, cols, p, trial), m, next)
-			wantRows, wantCols := bitmat.NewRow(rows), bitmat.NewRow(cols)
+			changed := false
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					if prev.At(r, c) != next.At(r, c) {
-						wantRows.Set(r)
-						wantCols.Set(c)
+						changed = true
 					}
 				}
 			}
-			if m.DeltaAll() {
-				t.Fatalf("%+v trial %d: an open window degraded to all-dirty", p, trial)
-			}
-			if !bitmat.Equal(m.DeltaRows(), wantRows) || !bitmat.Equal(m.DeltaCols(), wantCols) {
-				t.Fatalf("%+v trial %d: window rows %v cols %v, oracle diff rows %v cols %v",
-					p, trial, m.DeltaRows(), m.DeltaCols(), wantRows, wantCols)
-			}
-			if changed := wantRows.Any(); changed != (m.Version() != v) {
+			if changed != (m.Version() != v) {
 				t.Fatalf("%+v trial %d: map changed %v but version moved %v", p, trial, changed, m.Version() != v)
 			}
 			prev = next

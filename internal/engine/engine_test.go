@@ -522,8 +522,12 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 }
 
+// TestEngineCancellationMidBatch cancels a batch while one of its jobs runs
+// and the rest wait. The lone worker finishes job 0, then holds job 1, a
+// cancellable million-sample Monte Carlo job, so when the cancel lands job
+// 0 is done, job 1 is running and jobs 2-31 are queued, on every schedule.
 func TestEngineCancellationMidBatch(t *testing.T) {
-	e := New(Options{Workers: 2, CacheSize: -1})
+	e := New(Options{Workers: 1, CacheSize: -1})
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -532,17 +536,28 @@ func TestEngineCancellationMidBatch(t *testing.T) {
 		specs[i] = mcSpec(int64(100 + i))
 		specs[i].Samples = 200
 	}
+	specs[1] = JobSpec{Kind: MonteCarloYield, Benchmark: "rd53", Samples: 1_000_000}
 	b, err := e.Submit(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ok, cancelled int
-	first := true
-	for r := range b.Results {
-		if first {
-			cancel()
-			first = false
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, ok := e.Job(b.IDs[1])
+		if !ok {
+			t.Fatalf("job %s does not resolve", b.IDs[1])
 		}
+		if st.Status == StatusRunning {
+			break
+		}
+		if st.Status != StatusPending || time.Now().After(deadline) {
+			t.Fatalf("held job = %+v, want pending then running", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	var ok, cancelled int
+	for r := range b.Results {
 		if r.Err == "" {
 			ok++
 		} else if strings.Contains(r.Err, "context canceled") {
@@ -551,11 +566,8 @@ func TestEngineCancellationMidBatch(t *testing.T) {
 			t.Fatalf("unexpected error: %s", r.Err)
 		}
 	}
-	if ok+cancelled != len(specs) {
-		t.Fatalf("accounted for %d of %d jobs", ok+cancelled, len(specs))
-	}
-	if cancelled == 0 {
-		t.Fatal("cancellation must abort at least the queued jobs")
+	if ok != 1 || cancelled != len(specs)-1 {
+		t.Fatalf("%d ok and %d cancelled, want 1 and %d", ok, cancelled, len(specs)-1)
 	}
 	// The engine must remain usable after a cancelled batch.
 	after, err := e.Run(context.Background(), []JobSpec{fig8Spec(SynthTwoLevel)})

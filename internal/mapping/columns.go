@@ -108,15 +108,9 @@ type ColumnScratch struct {
 	rng                *rand.Rand
 
 	// viewMap/viewVersion identify the (fabric map, version) colsView was
-	// last built for; when the map's delta window matches, the view is
-	// refreshed per dirty 64×64 block instead of a full re-transpose.
-	// viewStreak is the dense-window give-up counter (see
-	// Scratch.denseStreak): while positive, the map's window is closed
-	// instead of reopened so wholesale-resampled maps stop paying
-	// Regenerate's diff for it.
+	// last built for: while both are unchanged, the transpose is skipped.
 	viewMap     *defect.Map
 	viewVersion uint64
-	viewStreak  uint8
 	// projSrc/projSrcVersion/projVersion and the prev* assignment snapshots
 	// identify what s.projected currently holds: the projection of projSrc
 	// at projSrcVersion under the prev* column assignment, with s.projected
@@ -233,44 +227,18 @@ func (s *ColumnScratch) columnUsage(l *xbar.Layout) {
 }
 
 // refreshColumnView brings colsView (the word-transposed functional view the
-// greedy penalty scans popcount over) up to date with dm. On a reused
-// scratch whose map delta window spans exactly the changes since the last
-// call, only the 64×64 blocks intersecting a dirty row and a dirty column
-// are re-transposed (bitmat.TransposeUpdate); an unchanged map skips the
-// work entirely; anything else falls back to the full transpose.
+// greedy penalty scans popcount over) up to date with dm: a reused scratch
+// skips the transpose while dm and its version are unchanged since the last
+// build, and re-transposes the whole map otherwise.
 //
 //xbar:hotpath
 func (s *ColumnScratch) refreshColumnView(dm *defect.Map) {
-	fn := dm.FunctionalMatrix()
-	if s.viewMap == dm && s.colsView != nil && s.colsView.Rows == dm.Cols && s.colsView.Cols == dm.Rows {
-		v := dm.Version()
-		if v == s.viewVersion {
-			return
-		}
-		if !dm.DeltaAll() && dm.DeltaBase() == s.viewVersion {
-			// A window marking most of the map buys nothing over the full
-			// transpose; treat it as evidence the map is being wholesale
-			// resampled between calls (see Scratch.denseStreak).
-			if 2*bitmat.PopCount(dm.DeltaRows()) < dm.Rows {
-				bitmat.TransposeUpdate(s.colsView, fn, dm.DeltaRows(), dm.DeltaCols())
-				s.viewStreak = 0
-				dm.ResetDelta()
-				s.viewVersion = v
-				return
-			}
-			if s.viewStreak <= 240 {
-				s.viewStreak += 8
-			}
-		}
+	if s.viewMap == dm && s.viewVersion == dm.Version() &&
+		s.colsView != nil && s.colsView.Rows == dm.Cols && s.colsView.Cols == dm.Rows {
+		return
 	}
-	//xbar:allow hotpath-alloc full-transpose fallback reuses colsView and allocates only on first use or a size change
-	s.colsView = bitmat.TransposeInto(s.colsView, fn)
-	if s.viewStreak > 0 {
-		s.viewStreak--
-		dm.CloseDelta()
-	} else {
-		dm.ResetDelta()
-	}
+	//xbar:allow hotpath-alloc the transpose reuses colsView and allocates only on first use or a size change
+	s.colsView = bitmat.TransposeInto(s.colsView, dm.FunctionalMatrix())
 	s.viewMap, s.viewVersion = dm, dm.Version()
 }
 
@@ -452,10 +420,8 @@ func ProjectDefectsInto(dst *defect.Map, dm *defect.Map, spec FabricSpec, l *xba
 
 // projectDefectsInto rebuilds dst (dimensions already correct) as the
 // projection of dm onto the assigned columns in layout order. Every
-// destination column is rewritten in full via projectColumn, so no prior
-// Reset is needed and dst's own delta window stays precise: cells that keep
-// their kind are free (defect.Map.Set early-returns), which is what lets a
-// row Scratch consuming dst refresh its candidate bitsets incrementally.
+// destination column is rewritten in full via projectColumn, so dst needs
+// no clearing first.
 //
 //xbar:hotpath
 func projectDefectsInto(dst *defect.Map, dm *defect.Map, spec FabricSpec, l *xbar.Layout, a ColumnAssignment) {
@@ -475,8 +441,10 @@ func projectDefectsInto(dst *defect.Map, dm *defect.Map, spec FabricSpec, l *xba
 }
 
 // projectColumn overwrites destination column k with source column src of
-// the fabric map, cell by cell through Set so the caches and the delta
-// window of dst stay exact.
+// the fabric map, cell by cell through Set so the caches and the version of
+// dst stay exact: cells that keep their kind are free (defect.Map.Set
+// returns early), so a projection that changes nothing leaves dst's version,
+// and the candidate bitsets of the row Scratch consuming dst, in place.
 //
 //xbar:hotpath
 func projectColumn(dst *defect.Map, k int, dm *defect.Map, src int) {
@@ -491,7 +459,7 @@ func projectColumn(dst *defect.Map, k int, dm *defect.Map, src int) {
 // lengths, only the destination columns whose assignment entry differs from
 // the recorded snapshot are re-projected — between retry attempts that is
 // the handful of columns perturb touched, not the whole map. Any staleness
-// falls back to the full projection, which itself marks precise deltas.
+// falls back to the full projection.
 //
 //xbar:hotpath
 func (s *ColumnScratch) projectAssigned(dm *defect.Map, spec FabricSpec, l *xbar.Layout) {

@@ -1,11 +1,12 @@
 package mapping
 
-// Incremental-vs-full parity for the delta-window consumers: a reused
-// Scratch patching its candidate bitsets, and a reused ColumnScratch
-// refreshing its transposed view and projected map, must stay bit-identical
-// to cold rebuilds across arbitrary Set / Regenerate sequences. The fresh
-// reference always runs against a clone of the defect map so it cannot
-// consume (and thereby reset) the delta window the reused scratch relies on.
+// Warm-vs-cold parity for the consumers of defect.Map's version: a reused
+// Scratch skipping or rebuilding its candidate bitsets, and a reused
+// ColumnScratch skipping or rebuilding its transposed view and projecting
+// its map incrementally, must stay bit-identical to cold rebuilds across
+// arbitrary Set / Regenerate sequences. The cold reference always runs
+// against a clone of the defect map, a distinct map the reused scratch has
+// never seen.
 
 import (
 	"math/rand"
@@ -13,12 +14,12 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/defect"
+	"repro/internal/logic"
 	"repro/internal/randfunc"
 	"repro/internal/xbar"
 )
 
-// cloneMap copies a defect map cell by cell into a fresh Map with its own
-// delta window.
+// cloneMap copies a defect map cell by cell into a fresh Map.
 func cloneMap(m *defect.Map) *defect.Map {
 	out := defect.NewMap(m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
@@ -49,8 +50,9 @@ func mutate(t *testing.T, dm *defect.Map, rng *rand.Rand, step int) {
 }
 
 // TestIncrementalCandidatesMatchFull drives a reused Scratch through random
-// delta sequences and compares its candidate bitsets — the raw cand matrix,
-// not just the algorithm outcome — against a cold rebuild on a cloned map.
+// mutation sequences — each step takes the version skip or the full
+// rebuild — and compares its candidate bitsets (the raw cand matrix, not
+// just the algorithm outcome) against a cold rebuild on a cloned map.
 func TestIncrementalCandidatesMatchFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cov, err := randfunc.Generate(randfunc.Params{Inputs: 5}, rng)
@@ -91,10 +93,39 @@ func TestIncrementalCandidatesMatchFull(t *testing.T) {
 	}
 }
 
+// TestCandidateSkipKeysOnLayout: the skip is keyed on the layout as well as
+// on the map and its version, so a reused Scratch that maps a second layout
+// of the same shape onto the unchanged map rebuilds its bitsets.
+func TestCandidateSkipKeysOnLayout(t *testing.T) {
+	layout := func(rows ...string) *xbar.Layout {
+		l, err := xbar.NewTwoLevel(logic.MustParseCover(3, 2, rows...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	a := layout("11- 10", "-01 10", "0-0 01", "-11 01")
+	b := layout("0-0 01", "-11 01", "11- 10", "-01 10")
+	dm, err := defect.Generate(a.Rows+2, a.Cols, defect.Params{POpen: 0.2}, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	warm, cold := NewScratch(), NewScratch()
+	warm.computeCandidates(&Problem{Layout: a, Defects: dm}, &stats)
+	warm.computeCandidates(&Problem{Layout: b, Defects: dm}, &stats)
+	cold.computeCandidates(&Problem{Layout: b, Defects: dm}, &stats)
+	for i := 0; i < b.Rows; i++ {
+		if !bitmat.Equal(warm.cand.Row(i), cold.cand.Row(i)) {
+			t.Fatalf("candidate bitset of FM row %d kept the first layout's", i)
+		}
+	}
+}
+
 // TestIncrementalColumnViewMatchesFull drives a reused ColumnScratch through
-// random delta sequences on the fabric map and checks its transposed
-// functional view — maintained per dirty 64×64 block — against a full
-// transpose of the current map.
+// random mutation sequences on the fabric map and checks its transposed
+// functional view — skipped while the map's version is unchanged, rebuilt
+// otherwise — against a full transpose of the current map.
 func TestIncrementalColumnViewMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	dm := defect.NewMap(130, 70)
@@ -112,9 +143,10 @@ func TestIncrementalColumnViewMatchesFull(t *testing.T) {
 }
 
 // TestColumnAwareIncrementalMatchesFresh runs the full column-aware search
-// on a reused scratch across delta sequences — exercising the incremental
-// transpose, the diff-based projection, and the cascaded candidate patching
-// on the projected map — against a fresh run on a cloned map each step.
+// on a reused scratch across mutation sequences — exercising the view's
+// version skip, the diff-based projection across retries, and the
+// candidate skip on a projected map whose version stood still — against a
+// fresh run on a cloned map each step.
 func TestColumnAwareIncrementalMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cov, err := randfunc.Generate(randfunc.Params{Inputs: 4}, rng)

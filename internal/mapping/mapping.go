@@ -103,21 +103,11 @@ type Scratch struct {
 	cand     bitmat.Matrix
 	freeMask bitmat.Row
 	// candMap/candLayout/candVersion identify the (defect map, layout,
-	// map version) s.cand was last built for. When the next call sees the
-	// same pair and the map's delta window spans exactly the versions in
-	// between, computeCandidates patches only the bitset columns touched by
-	// dirty CM rows instead of re-running the kernel over every FM row; on
-	// an unchanged map it skips the rebuild entirely. denseStreak is the
-	// give-up counter: each valid window too dense to patch bumps it, and
-	// while it is positive the window is closed instead of reopened, so a
-	// Monte Carlo loop that resamples the whole map per trial stops paying
-	// Regenerate's snapshot+diff for a window it can never use. The streak
-	// decays one per rebuild, re-probing occasionally in case the workload
-	// turns sparse again.
+	// map version) s.cand was last built for: while all three are
+	// unchanged, computeCandidates skips the rebuild.
 	candMap     *defect.Map
 	candLayout  *xbar.Layout
 	candVersion uint64
-	denseStreak uint8
 }
 
 // NewScratch returns an empty Scratch (buffers grow on first use).
@@ -168,40 +158,21 @@ func growRow(buf *bitmat.Row, cols int) bitmat.Row {
 // matrix, then a word-AND against the complement of the poisoned-row mask.
 // Bit t of s.cand.Row(i) afterwards equals rowMatches(i, t). Each pass
 // tests the row against all Defects.Rows CM rows, which is what MatchChecks
-// accounts.
+// accounts. A call on the same map, layout and map version as the last
+// build skips the work: the bitsets are still exact.
 //
 //xbar:hotpath
 func (s *Scratch) computeCandidates(p *Problem, stats *Stats) {
 	nFM, nCM := p.Layout.Rows, p.Defects.Rows
 	// MatchChecks accounts the enumeration volume — nFM × nCM row tests —
-	// regardless of how much of it the incremental paths below actually
-	// re-execute, so Stats are identical across cold, warm, and incremental
-	// runs (the equivalence tests compare them exactly).
+	// even when the skip below runs none of them, so Stats are identical
+	// across cold and warm runs (the equivalence tests compare them
+	// exactly).
 	stats.MatchChecks += nFM * nCM
 	m := p.Defects
-	if s.candMap == m && s.candLayout == p.Layout && s.cand.Rows == nFM && s.cand.Cols == nCM {
-		v := m.Version()
-		if v == s.candVersion {
-			return // map unchanged since the last build: bitsets still exact
-		}
-		if !m.DeltaAll() && m.DeltaBase() == s.candVersion {
-			// The window spans exactly our build → now. Patch dirty CM rows
-			// when that is cheaper than the batched rebuild (the kernel
-			// retires ~8 CM rows per iteration, the patch one per test).
-			dirty := m.DeltaRows()
-			if 8*bitmat.PopCount(dirty) <= nCM {
-				s.patchCandidates(p, dirty)
-				s.denseStreak = 0
-				m.ResetDelta()
-				s.candVersion = v
-				return
-			}
-			// A valid window we could not use: evidence the mutation
-			// pattern is whole-map resampling, not sparse edits.
-			if s.denseStreak <= 240 {
-				s.denseStreak += 8
-			}
-		}
+	if s.candMap == m && s.candLayout == p.Layout && s.candVersion == m.Version() &&
+		s.cand.Rows == nFM && s.cand.Cols == nCM {
+		return
 	}
 	//xbar:allow hotpath-alloc Reshape reuses the backing words and allocates only when the fabric grows
 	s.cand.Reshape(nFM, nCM)
@@ -212,35 +183,7 @@ func (s *Scratch) computeCandidates(p *Problem, stats *Stats) {
 		bitmat.MatchRowAgainst(p.Layout.ActiveRow(i), fn, row)
 		row.AndNot(closed)
 	}
-	if s.denseStreak > 0 {
-		s.denseStreak--
-		m.CloseDelta()
-	} else {
-		m.ResetDelta()
-	}
 	s.candMap, s.candLayout, s.candVersion = m, p.Layout, m.Version()
-}
-
-// patchCandidates re-tests only the dirty CM rows against every FM row,
-// setting or clearing the corresponding candidate bit in place. The
-// resulting bitsets are exactly what the full rebuild would produce: for
-// clean CM rows neither the functional words nor the closed-row bit changed,
-// so their candidate bits are already correct.
-//
-//xbar:hotpath
-func (s *Scratch) patchCandidates(p *Problem, dirty bitmat.Row) {
-	m := p.Defects
-	for i := 0; i < p.Layout.Rows; i++ {
-		active := p.Layout.ActiveRow(i)
-		row := s.cand.Row(i)
-		for t := dirty.NextSet(0); t >= 0; t = dirty.NextSet(t + 1) {
-			if !m.RowHasClosed(t) && bitmat.SubsetOf(active, m.FunctionalRow(t)) {
-				row.Set(t)
-			} else {
-				row.Clear(t)
-			}
-		}
-	}
 }
 
 // ColumnFeasible reports whether every column the layout actually uses is
