@@ -34,12 +34,14 @@ lint: vet xbarvet
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# fuzz-smoke gives the two parser/kernel fuzz targets a short budget; CI
-# runs the same legs so every PR fuzzes the frame decoder and match kernel.
+# fuzz-smoke gives the parser and kernel fuzz targets a short budget; CI
+# runs the same legs so every PR fuzzes the frame decoder and both match
+# kernels.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseFrame -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzMatchRowAgainst -fuzztime=$(FUZZTIME) ./internal/bitmat
+	$(GO) test -run='^$$' -fuzz=FuzzFirstSubset -fuzztime=$(FUZZTIME) ./internal/bitmat
 
 test:
 	$(GO) test -race ./...

@@ -1,17 +1,25 @@
 package bitmat
 
-// Batched candidate matching: the enumeration kernel of the mapping stack.
-// The per-pair test of mapping.rowMatches answers "does FM row i fit CM row
-// j" for one j; the Monte Carlo loops ask it for every j. MatchRowAgainst
-// answers all of them in one pass over the CM words, producing the candidate
-// bitset of an FM row — bit j set iff fmRow &^ cmRow_j == 0 — which the
-// mapping algorithms then enumerate with word scans instead of re-testing
-// pairs.
+import "math/bits"
+
+// Candidate matching: the enumeration kernels of the mapping stack. The
+// per-pair test of mapping.rowMatches answers "does FM row i fit CM row j"
+// for one j. The mapping algorithms ask it in two shapes, and each has its
+// kernel here:
 //
-// The inner loops process eight CM rows per iteration with the bounds checks
-// hoisted out of the word loop, and fabrics of at most 64 columns (every
-// Table II fabric) take a single-word fast path that retires 64 CM rows per
-// output-word store. Both kernels are property-tested against
+//   - FirstSubset answers "which is the first CM row in this mask that FM
+//     row i fits", testing rows top to bottom and stopping at the first fit:
+//     the greedy and backtracking scans of HBA and the matcher's first-fit
+//     seed.
+//   - MatchRowAgainst answers the question for every j in one pass over the
+//     CM words, producing the candidate bitset of an FM row — bit j set iff
+//     fmRow &^ cmRow_j == 0 — which the matcher's augmenting search then
+//     enumerates with word scans.
+//
+// MatchRowAgainst's inner loops process eight CM rows per iteration with
+// the bounds checks hoisted out of the word loop, and fabrics of at most 64
+// columns (every Table II fabric but bw's and exp5's) take a single-word
+// fast path that retires 64 CM rows per output-word store. Every kernel is property-tested against
 // matchRowAgainstScalar.
 
 // MatchRowAgainst computes the candidate bitset of one packed FM row against
@@ -41,6 +49,63 @@ func MatchRowAgainst(fm Row, cm *Matrix, out Row) {
 		return
 	}
 	matchMultiWord(fm, bits, out, rows, w)
+}
+
+// FirstSubset is the masked first-fit kernel: it returns the lowest CM row
+// t >= from that is set in mask and that fm fits (fm &^ cm.Row(t) == 0),
+// or -1 when none does. tested is the number of mask rows it examined —
+// those in [from, t], or every mask row at or after from on a miss — so it
+// counts exactly the pair tests a top-to-bottom scan makes. fm must be
+// packed for cm.Cols columns and mask for cm.Rows columns. Rows outside
+// mask are skipped a word at a time; fabrics of at most 64 columns take a
+// single-word path, wider ones compare every word of the row.
+//
+//xbar:hotpath
+func FirstSubset(fm Row, cm *Matrix, mask Row, from int) (t, tested int) {
+	if from < 0 {
+		from = 0
+	}
+	k := from / wordBits
+	if k >= len(mask) {
+		return -1, 0
+	}
+	w, rows := cm.words, cm.bits
+	m := mask[k] &^ (uint64(1)<<uint(from%wordBits) - 1)
+	if w == 1 {
+		f := fm[0]
+		for {
+			for ; m != 0; m &= m - 1 {
+				j := k*wordBits + bits.TrailingZeros64(m)
+				tested++
+				if f&^rows[j] == 0 {
+					return j, tested
+				}
+			}
+			if k++; k == len(mask) {
+				return -1, tested
+			}
+			m = mask[k]
+		}
+	}
+	fm = fm[:w]
+	for {
+		for ; m != 0; m &= m - 1 {
+			j := k*wordBits + bits.TrailingZeros64(m)
+			tested++
+			r := rows[j*w : j*w+w : j*w+w]
+			var miss uint64
+			for i, f := range fm {
+				miss |= f &^ r[i]
+			}
+			if miss == 0 {
+				return j, tested
+			}
+		}
+		if k++; k == len(mask) {
+			return -1, tested
+		}
+		m = mask[k]
+	}
 }
 
 // matchSingleWord is the single-word kernel (<= 64 fabric columns): each CM

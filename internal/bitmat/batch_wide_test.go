@@ -125,3 +125,109 @@ func FuzzMatchRowAgainst(f *testing.F) {
 		}
 	})
 }
+
+// firstSubsetOracle is FirstSubset restated over matchRowAgainstScalar: the
+// lowest row >= from set in both the scalar candidate bitset and mask, and
+// the number of mask rows in [from, that row], or in [from, rows) on a miss.
+func firstSubsetOracle(fm Row, cm *Matrix, mask Row, from int) (t, tested int) {
+	cand := NewRow(cm.Rows)
+	matchRowAgainstScalar(fm, cm, cand)
+	for j := max(from, 0); j < cm.Rows; j++ {
+		if mask.Get(j) {
+			tested++
+			if cand.Get(j) {
+				return j, tested
+			}
+		}
+	}
+	return -1, tested
+}
+
+// checkFirstSubset compares FirstSubset with the oracle from every start
+// row, one before the first and one past the last included.
+func checkFirstSubset(t *testing.T, fm Row, cm *Matrix, mask Row) {
+	t.Helper()
+	for from := -1; from <= cm.Rows+1; from++ {
+		got, gotN := FirstSubset(fm, cm, mask, from)
+		want, wantN := firstSubsetOracle(fm, cm, mask, from)
+		if got != want || gotN != wantN {
+			t.Fatalf("%dx%d from %d: FirstSubset = (%d, %d tested), want (%d, %d)",
+				cm.Rows, cm.Cols, from, got, gotN, want, wantN)
+		}
+	}
+}
+
+// randomMask draws a rows-column mask with the given density.
+func randomMask(rng *rand.Rand, rows int, density float64) Row {
+	mask := NewRow(rows)
+	for j := 0; j < rows; j++ {
+		if rng.Float64() < density {
+			mask.Set(j)
+		}
+	}
+	return mask
+}
+
+// TestFirstSubsetWidths sweeps the masked first-fit kernel across the
+// single-word widths of Table II fabrics, both sides of the 64- and 128-bit
+// word boundaries and exp5's 142 columns, with row counts on both sides of
+// the same boundaries, CM densities from never-fitting to always-fitting,
+// and masks from empty to full — every start row each time.
+func TestFirstSubsetWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, cols := range []int{0, 20, 44, 63, 64, 65, 127, 128, 129, 142} {
+		for _, rows := range []int{1, 7, 63, 64, 65, 127, 128, 129, 200} {
+			for _, density := range []float64{0, 0.7, 0.95, 1} {
+				cm := randMatrix(rng, rows, cols, density)
+				fm := NewRow(cols)
+				for c := 0; c < cols; c++ {
+					if rng.Float64() < 0.2 {
+						fm.Set(c)
+					}
+				}
+				for _, maskDensity := range []float64{0, 0.3, 1} {
+					checkFirstSubset(t, fm, cm, randomMask(rng, rows, maskDensity))
+				}
+			}
+		}
+	}
+}
+
+// FuzzFirstSubset drives the masked first-fit kernel with fuzz-shaped
+// matrices, masks and start rows, checking it against matchRowAgainstScalar
+// restricted to the mask and the start row. The corpus seeds put widths on
+// both sides of 64 and 128 columns and row counts on both sides of the
+// mask's word boundaries; the fuzzer mutates dimensions, densities and
+// content.
+func FuzzFirstSubset(f *testing.F) {
+	f.Add(int64(1), uint16(294), uint16(40), 0.9, 0.1, 0.5, uint16(0))
+	f.Add(int64(2), uint16(139), uint16(142), 0.95, 0.05, 0.8, uint16(70))
+	for _, w := range []uint16{63, 64, 65, 127, 128, 129} {
+		f.Add(int64(w), w, w, 0.9, 0.1, 0.5, w/2)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint16, cmDensity, fmDensity, maskDensity float64, from uint16) {
+		nr := int(rows%512) + 1
+		nc := int(cols%512) + 1
+		clamp := func(p float64) float64 {
+			if p >= 0 && p <= 1 {
+				return p
+			}
+			return 0.5
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cm := randMatrix(rng, nr, nc, clamp(cmDensity))
+		fm := NewRow(nc)
+		for c := 0; c < nc; c++ {
+			if rng.Float64() < clamp(fmDensity) {
+				fm.Set(c)
+			}
+		}
+		mask := randomMask(rng, nr, clamp(maskDensity))
+		start := int(from) % (nr + 2)
+		got, gotN := FirstSubset(fm, cm, mask, start)
+		want, wantN := firstSubsetOracle(fm, cm, mask, start)
+		if got != want || gotN != wantN {
+			t.Fatalf("%dx%d from %d: FirstSubset = (%d, %d tested), want (%d, %d)", nr, nc, start, got, gotN, want, wantN)
+		}
+	})
+}

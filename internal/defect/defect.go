@@ -435,11 +435,6 @@ func (m *Map) RowHasClosed(r int) bool { return m.closedRow[r] > 0 }
 //xbar:hotpath
 func (m *Map) ColHasClosed(c int) bool { return m.closedCol[c] > 0 }
 
-// UsableRow reports whether row r can host any logic line at all.
-//
-//xbar:hotpath
-func (m *Map) UsableRow(r int) bool { return !m.RowHasClosed(r) }
-
 // Stats summarizes a defect map.
 type Stats struct {
 	Devices     int

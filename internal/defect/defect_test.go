@@ -65,8 +65,8 @@ func TestRowColPoisoning(t *testing.T) {
 	if !m.ColHasClosed(3) || m.ColHasClosed(0) {
 		t.Error("ColHasClosed wrong")
 	}
-	if m.UsableRow(2) || !m.UsableRow(0) {
-		t.Error("UsableRow wrong")
+	if !m.RowHasClosed(2) || m.RowHasClosed(0) {
+		t.Error("RowHasClosed wrong")
 	}
 	s := m.Summarize()
 	if s.PoisonedRow != 1 || s.PoisonedCol != 1 {

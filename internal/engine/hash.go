@@ -18,17 +18,20 @@ import (
 // many members or retries saw them.
 func (s JobSpec) CanonicalHash() string { return hex.EncodeToString([]byte(s.hashKey())) }
 
-// mapResultVersion versions the assignment a map-hba or map-ea job returns.
+// mapResultVersion versions the result a map-hba or map-ea job returns.
 // Both algorithms may pick any of several valid CM rows for a layout row, so
-// a change to which one they pick bumps this constant: journals and caches
-// then never serve an assignment the running code would not produce. It is
+// a change to which one they pick bumps this constant, and so does a change
+// to the effort counts the result reports: journals and caches then never
+// serve a result the running code would not produce. It is
 // folded into map keys only — synthesis results and Monte Carlo Psucc do not
 // depend on which valid row a mapper picks, so their keys, and the journal
 // records stored under them, stay valid.
 //
 // Version 2: the exact assignment step is bipartite matching instead of
-// Munkres' method.
-const mapResultVersion = 2
+// Munkres' method. Version 3: Stats.MatchChecks counts the pair tests
+// actually made instead of layout rows × CM rows, so the match_checks a
+// map job reports changed while every assignment stayed the same.
+const mapResultVersion = 3
 
 // hashKey is the canonical identity of a job: two specs with equal keys
 // compute the same result and may share one cache entry. The key covers

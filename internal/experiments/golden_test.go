@@ -80,3 +80,31 @@ func TestStudyCountsGolden(t *testing.T) {
 		t.Errorf("multi-level rd53: HBA/EA successes = %v, want %v", got, want)
 	}
 }
+
+// TestAblationCountsGolden pins the success counts of the five Ablation
+// variants (greedy only, +backtracking, +exact outputs, +density order,
+// +scarcity order) on rd53 and rd73 at the golden defaults. Every variant
+// runs on the one HBA body, so a change to how it finds candidate rows
+// must leave each variant's Psucc alone.
+func TestAblationCountsGolden(t *testing.T) {
+	want := map[string][5]int{
+		"rd53": {91, 132, 180, 180, 185},
+		"rd73": {4, 100, 139, 139, 120},
+	}
+	for _, circuit := range []string{"rd53", "rd73"} {
+		rows, err := Ablation(circuit, goldenSamples, goldenRate, goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(want[circuit]) {
+			t.Fatalf("%s: %d ablation rows, want %d", circuit, len(rows), len(want[circuit]))
+		}
+		var got [5]int
+		for i, r := range rows {
+			got[i] = successes(r.Psucc)
+		}
+		if got != want[circuit] {
+			t.Errorf("%s: ablation successes = %v, want %v", circuit, got, want[circuit])
+		}
+	}
+}

@@ -142,7 +142,7 @@ func Ablation(circuit string, samples int, rate float64, seed int64) ([]Ablation
 	var rows []AblationRow
 	for _, v := range variants {
 		opt := v.opt
-		hba := func(p *mapping.Problem, _ *mapping.Scratch) mapping.Result { return mapping.HBAWith(p, opt) }
+		hba := func(p *mapping.Problem, s *mapping.Scratch) mapping.Result { return mapping.HBAWith(p, opt, s) }
 		summary, err := montecarlo.Run(montecarlo.Options{Samples: samples, Seed: seed},
 			engine.MappingTrial(l, 0, defect.Params{POpen: rate}, hba))
 		if err != nil {

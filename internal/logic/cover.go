@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -202,14 +201,6 @@ func (c *Cover) SingleOutputContained() {
 		}
 	}
 	c.Cubes = keep
-}
-
-// SortCubes orders cubes deterministically (by string form); useful for
-// reproducible output and comparisons.
-func (c *Cover) SortCubes() {
-	sort.Slice(c.Cubes, func(i, k int) bool {
-		return c.Cubes[i].String() < c.Cubes[k].String()
-	})
 }
 
 // String renders the cover as newline-separated PLA rows.

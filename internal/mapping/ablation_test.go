@@ -2,12 +2,15 @@ package mapping
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/defect"
 	"repro/internal/xbar"
 )
 
+// TestHBAWithPaperOptionsMatchesHBA: HBA is HBAWith under PaperHBAOptions,
+// so the whole Result agrees — Valid, Reason, Stats and Assignment.
 func TestHBAWithPaperOptionsMatchesHBA(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 200; trial++ {
@@ -26,9 +29,9 @@ func TestHBAWithPaperOptionsMatchesHBA(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := HBA(p)
-		b := HBAWith(p, PaperHBAOptions())
-		if a.Valid != b.Valid {
-			t.Fatalf("HBAWith(paper options) disagrees with HBA: %v vs %v", a.Valid, b.Valid)
+		b := HBAWith(p, PaperHBAOptions(), nil)
+		if a.Valid != b.Valid || a.Reason != b.Reason || a.Stats != b.Stats || !slices.Equal(a.Assignment, b.Assignment) {
+			t.Fatalf("trial %d: HBAWith(paper options) disagrees with HBA: %+v vs %+v", trial, b, a)
 		}
 		if b.Valid {
 			if err := p.Validate(b.Assignment); err != nil {
@@ -64,7 +67,7 @@ func TestAblationVariantsAreSound(t *testing.T) {
 		}
 		exact := Exact(p)
 		for _, opt := range variants {
-			res := HBAWith(p, opt)
+			res := HBAWith(p, opt, nil)
 			if res.Valid {
 				if err := p.Validate(res.Assignment); err != nil {
 					t.Fatalf("variant %+v produced invalid mapping: %v", opt, err)
@@ -97,10 +100,10 @@ func TestBacktrackingHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: true}).Valid {
+		if HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: true}, nil).Valid {
 			withBT++
 		}
-		if HBAWith(p, HBAOptions{Backtracking: false, ExactOutputs: true}).Valid {
+		if HBAWith(p, HBAOptions{Backtracking: false, ExactOutputs: true}, nil).Valid {
 			withoutBT++
 		}
 	}
@@ -132,8 +135,8 @@ func TestExactOutputsHelp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: true}).Valid
-		g := HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: false}).Valid
+		e := HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: true}, nil).Valid
+		g := HBAWith(p, HBAOptions{Backtracking: true, ExactOutputs: false}, nil).Valid
 		if e && !g {
 			exactWins++
 		}
@@ -158,7 +161,7 @@ func TestFig8UnderAllVariants(t *testing.T) {
 		PaperHBAOptions(),
 		{Backtracking: true, ExactOutputs: true, DensityOrder: true},
 	} {
-		res := HBAWith(p, opt)
+		res := HBAWith(p, opt, nil)
 		if !res.Valid {
 			t.Errorf("variant %+v fails the Fig. 8 instance: %s", opt, res.Reason)
 		}

@@ -260,8 +260,9 @@ func (s *ColumnScratch) columnPenalty(dm *defect.Map, c int) int {
 
 // stableSortByKey sorts order by ascending key (descending when desc),
 // preserving the relative order of equal keys. Insertion sort: the slices
-// are small (column counts) and the scratch path must not allocate, which
-// rules out sort.SliceStable's closure and reflection machinery.
+// are small (column counts, or the product rows of an HBAWith ordering
+// option) and the scratch path must not allocate, which rules out
+// sort.SliceStable's closure and reflection machinery.
 //
 //xbar:hotpath
 func stableSortByKey(order, key []int, desc bool) {
@@ -443,8 +444,8 @@ func projectDefectsInto(dst *defect.Map, dm *defect.Map, spec FabricSpec, l *xba
 // projectColumn overwrites destination column k with source column src of
 // the fabric map, cell by cell through Set so the caches and the version of
 // dst stay exact: cells that keep their kind are free (defect.Map.Set
-// returns early), so a projection that changes nothing leaves dst's version,
-// and the candidate bitsets of the row Scratch consuming dst, in place.
+// returns early), so a projection that changes nothing leaves dst's
+// version, which projectAssigned checks, in place.
 //
 //xbar:hotpath
 func projectColumn(dst *defect.Map, k int, dm *defect.Map, src int) {

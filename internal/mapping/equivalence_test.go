@@ -104,7 +104,8 @@ func referenceExact(p *Problem) Result {
 	return Result{Valid: true, Assignment: assign, Stats: stats}
 }
 
-// referenceHBA is the pre-refactor Algorithm 1.
+// referenceHBA is the pre-refactor Algorithm 1. Its MatchChecks counts the
+// product phase's per-pair early-exit scans only.
 func referenceHBA(p *Problem) Result {
 	var stats Stats
 	if ok, _ := referenceColumnFeasible(p); !ok {
@@ -169,11 +170,14 @@ func referenceHBA(p *Problem) Result {
 	if len(free) < len(outputs) {
 		return Result{Stats: stats}
 	}
+	// The output stage tests every (output, free row) pair into a
+	// throwaway count, so Stats.MatchChecks is the product phase's.
+	var outputStats Stats
 	forbidden := make([][]bool, len(outputs))
 	for k, i := range outputs {
 		forbidden[k] = make([]bool, len(free))
 		for u, t := range free {
-			forbidden[k][u] = !p.scalarRowMatches(i, t, &stats)
+			forbidden[k][u] = !p.scalarRowMatches(i, t, &outputStats)
 		}
 	}
 	assign, ok, err := munkres.SolveBinary(forbidden)
@@ -246,10 +250,9 @@ func TestPackedMatcherAgreesWithScalar(t *testing.T) {
 // the CM row an output row (HBA) or any row (EA) lands on may differ: the
 // references solve the assignment with Munkres, the algorithms with
 // bipartite matching, and both pick one of possibly many valid
-// placements. MatchChecks is compared only for Naive — HBA and EA
-// enumerate from batched candidate bitsets, so their check count is the
-// deterministic enumeration volume (layout rows × CM rows) rather than the
-// early-exit scan count of the per-pair references.
+// placements. HBA's product phase tests exactly the pairs the reference's
+// per-pair scans test, so its MatchChecks minus the output matcher's count
+// equals the reference's product-phase count.
 func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 	property := func(seed int64) bool {
 		p, err := randomProblem(seed%10_000, int(uint64(seed)%3), 0)
@@ -286,15 +289,15 @@ func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 		for r := range allRows {
 			allRows[r] = r
 		}
-		gotH := HBA(p)
-		wantChecks := (p.Layout.Rows) * p.Defects.Rows
-		if gotH.Stats.MatchChecks != wantChecks {
-			t.Logf("seed %d hba: MatchChecks %d, want enumeration volume %d",
-				seed, gotH.Stats.MatchChecks, wantChecks)
+		var s Scratch
+		gotH, wantH := HBAScratch(p, &s), referenceHBA(p)
+		if got := gotH.Stats.MatchChecks - s.match.checks; got != wantH.Stats.MatchChecks {
+			t.Logf("seed %d hba: product phase made %d pair tests, the per-pair scans %d",
+				seed, got, wantH.Stats.MatchChecks)
 			return false
 		}
 		return check("naive", gotN, wantN, allRows) &&
-			check("hba", gotH, referenceHBA(p), p.Layout.ProductRows()) &&
+			check("hba", gotH, wantH, p.Layout.ProductRows()) &&
 			check("ea", Exact(p), referenceExact(p), nil)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
@@ -343,32 +346,70 @@ func TestAlgorithmsMatchWithClosedDefects(t *testing.T) {
 	}
 }
 
-// TestCandidateBitsetsMatchPairTests is the batch-kernel property at the
-// mapping layer: on random layouts and defect maps (spare rows and
-// stuck-closed lines included), bit t of every FM row's candidate bitset
-// equals both the packed per-pair matcher and the pre-refactor scalar
-// matcher, and the accounted check volume is exactly rows × CM rows.
+// TestCandidateBitsetsMatchPairTests is the kernel property at the mapping
+// layer: on random layouts and defect maps (spare rows across the 64- and
+// 128-row word boundaries, stuck-closed lines included), under random
+// masks of usable CM rows, the masked first fit from every start row and
+// the matcher's lazy fill of every FM row agree with both the packed
+// per-pair matcher and the pre-refactor scalar matcher. The first fit
+// reports the mask rows it passed as tested; a fill counts Defects.Rows
+// tests once, and a second read of the row tests nothing.
 func TestCandidateBitsetsMatchPairTests(t *testing.T) {
 	property := func(seed int64) bool {
-		p, err := randomProblem(seed%10_000, int(uint64(seed)%3), 0.02)
+		p, err := randomProblem(seed%10_000, 40*int(uint64(seed)%4), 0.02)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		rng := rand.New(rand.NewSource(seed))
+		nCM := p.Defects.Rows
 		var s Scratch
-		var stats Stats
-		s.computeCandidates(p, &stats)
-		if stats.MatchChecks != p.Layout.Rows*p.Defects.Rows {
-			t.Logf("seed %d: MatchChecks %d, want %d", seed, stats.MatchChecks, p.Layout.Rows*p.Defects.Rows)
-			return false
+		mask := s.usableRows(p)
+		density := rng.Float64()
+		for t := 0; t < nCM; t++ {
+			if rng.Float64() > density {
+				mask.Clear(t)
+			}
 		}
+		fits := func(i, cm int) bool {
+			var a, b Stats
+			packed, scalar := p.rowMatches(i, cm, &a), p.scalarRowMatches(i, cm, &b)
+			if packed != scalar {
+				t.Fatalf("seed %d: packed/scalar disagree at FM %d, CM %d", seed, i, cm)
+			}
+			return packed
+		}
+		s.match.reset(p.Layout.ActiveMatrix(), p.Defects.FunctionalMatrix(), mask, nil)
 		for i := 0; i < p.Layout.Rows; i++ {
-			cand := s.cand.Row(i)
-			for cm := 0; cm < p.Defects.Rows; cm++ {
-				var a, b Stats
-				packed, scalar := p.rowMatches(i, cm, &a), p.scalarRowMatches(i, cm, &b)
-				if cand.Get(cm) != packed || packed != scalar {
-					t.Logf("seed %d: candidate/packed/scalar disagree at FM %d, CM %d: %v/%v/%v",
-						seed, i, cm, cand.Get(cm), packed, scalar)
+			before := s.match.checks
+			cand := s.match.candidates(i)
+			if s.match.checks-before != nCM {
+				t.Logf("seed %d: fill of FM row %d counted %d tests, want %d", seed, i, s.match.checks-before, nCM)
+				return false
+			}
+			if s.match.candidates(i); s.match.checks-before != nCM {
+				t.Logf("seed %d: second read of FM row %d filled it again", seed, i)
+				return false
+			}
+			for from := 0; from <= nCM; from++ {
+				want, tested := -1, 0
+				for cm := from; cm < nCM && want < 0; cm++ {
+					if mask.Get(cm) {
+						tested++
+						if fits(i, cm) {
+							want = cm
+						}
+					}
+				}
+				var stats Stats
+				if got := firstFit(p, i, mask, from, &stats); got != want || stats.MatchChecks != tested {
+					t.Logf("seed %d: first fit of FM row %d from %d = %d after %d tests, want %d after %d",
+						seed, i, from, got, stats.MatchChecks, want, tested)
+					return false
+				}
+			}
+			for cm := 0; cm < nCM; cm++ {
+				if want := mask.Get(cm) && fits(i, cm); cand.Get(cm) != want {
+					t.Logf("seed %d: filled candidate bit (FM %d, CM %d) = %v, want %v", seed, i, cm, cand.Get(cm), want)
 					return false
 				}
 			}

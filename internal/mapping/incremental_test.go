@@ -1,9 +1,8 @@
 package mapping
 
 // Warm-vs-cold parity for the consumers of defect.Map's version: a reused
-// Scratch skipping or rebuilding its candidate bitsets, and a reused
 // ColumnScratch skipping or rebuilding its transposed view and projecting
-// its map incrementally, must stay bit-identical to cold rebuilds across
+// its map incrementally must stay bit-identical to cold rebuilds across
 // arbitrary Set / Regenerate sequences. The cold reference always runs
 // against a clone of the defect map, a distinct map the reused scratch has
 // never seen.
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/defect"
-	"repro/internal/logic"
 	"repro/internal/randfunc"
 	"repro/internal/xbar"
 )
@@ -49,79 +47,6 @@ func mutate(t *testing.T, dm *defect.Map, rng *rand.Rand, step int) {
 	}
 }
 
-// TestIncrementalCandidatesMatchFull drives a reused Scratch through random
-// mutation sequences — each step takes the version skip or the full
-// rebuild — and compares its candidate bitsets (the raw cand matrix, not
-// just the algorithm outcome) against a cold rebuild on a cloned map.
-func TestIncrementalCandidatesMatchFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cov, err := randfunc.Generate(randfunc.Params{Inputs: 5}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := xbar.NewTwoLevel(cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := defect.NewMap(l.Rows+3, l.Cols)
-	p, err := NewProblem(l, dm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewScratch()
-	for step := 0; step < 60; step++ {
-		mutate(t, dm, rng, step)
-		var warmStats Stats
-		warm.computeCandidates(p, &warmStats)
-
-		cold := NewScratch()
-		coldProblem, err := NewProblem(l, cloneMap(dm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var coldStats Stats
-		cold.computeCandidates(coldProblem, &coldStats)
-
-		if warmStats != coldStats {
-			t.Fatalf("step %d: stats diverged: warm %+v cold %+v", step, warmStats, coldStats)
-		}
-		for i := 0; i < l.Rows; i++ {
-			if !bitmat.Equal(warm.cand.Row(i), cold.cand.Row(i)) {
-				t.Fatalf("step %d: candidate bitset of FM row %d diverged", step, i)
-			}
-		}
-	}
-}
-
-// TestCandidateSkipKeysOnLayout: the skip is keyed on the layout as well as
-// on the map and its version, so a reused Scratch that maps a second layout
-// of the same shape onto the unchanged map rebuilds its bitsets.
-func TestCandidateSkipKeysOnLayout(t *testing.T) {
-	layout := func(rows ...string) *xbar.Layout {
-		l, err := xbar.NewTwoLevel(logic.MustParseCover(3, 2, rows...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	a := layout("11- 10", "-01 10", "0-0 01", "-11 01")
-	b := layout("0-0 01", "-11 01", "11- 10", "-01 10")
-	dm, err := defect.Generate(a.Rows+2, a.Cols, defect.Params{POpen: 0.2}, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats Stats
-	warm, cold := NewScratch(), NewScratch()
-	warm.computeCandidates(&Problem{Layout: a, Defects: dm}, &stats)
-	warm.computeCandidates(&Problem{Layout: b, Defects: dm}, &stats)
-	cold.computeCandidates(&Problem{Layout: b, Defects: dm}, &stats)
-	for i := 0; i < b.Rows; i++ {
-		if !bitmat.Equal(warm.cand.Row(i), cold.cand.Row(i)) {
-			t.Fatalf("candidate bitset of FM row %d kept the first layout's", i)
-		}
-	}
-}
-
 // TestIncrementalColumnViewMatchesFull drives a reused ColumnScratch through
 // random mutation sequences on the fabric map and checks its transposed
 // functional view — skipped while the map's version is unchanged, rebuilt
@@ -144,8 +69,7 @@ func TestIncrementalColumnViewMatchesFull(t *testing.T) {
 
 // TestColumnAwareIncrementalMatchesFresh runs the full column-aware search
 // on a reused scratch across mutation sequences — exercising the view's
-// version skip, the diff-based projection across retries, and the
-// candidate skip on a projected map whose version stood still — against a
+// version skip and the diff-based projection across retries — against a
 // fresh run on a cloned map each step.
 func TestColumnAwareIncrementalMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))

@@ -18,15 +18,16 @@
 //
 // The compatibility test runs on the word-packed rows of internal/bitmat:
 // an FM row fits a CM row iff fmRow &^ cmFunctional == 0, a handful of
-// AND-NOT word operations instead of a per-column scan. HBA and EA go one
-// step further and never test pairs in their enumeration loops at all: the
-// batched kernel (bitmat.MatchRowAgainst) computes each FM row's full
-// candidate bitset over every CM row in one pass, and the greedy scans,
-// backtracking relocations, and assignment matching read those bitsets
-// with word operations — the greedy and backtracking scans visit rows in
-// the same top-to-bottom order as the pre-batch scans, so product
-// placements are bit-identical. The equivalence tests check both paths
-// against the pre-refactor scalar matcher (scalarRowMatches, in
+// AND-NOT word operations instead of a per-column scan. HBA and EA test a
+// pair only when a scan reaches it. Every top-to-bottom scan — HBA's greedy
+// placement, its backtracking walk over the occupied rows and the
+// matcher's first-fit seed — is the masked first-fit kernel
+// (bitmat.FirstSubset) over the usable rows, stopping at the first fit in
+// the order of the per-pair scans, so placements are bit-identical to
+// them. The matcher's augmenting search fills an FM row's whole candidate
+// bitset with the batched kernel (bitmat.MatchRowAgainst) the first time
+// it reads that row. The equivalence tests check both kernels and the
+// algorithms against the pre-refactor scalar matcher (scalarRowMatches, in
 // equivalence_test.go).
 package mapping
 
@@ -40,11 +41,10 @@ import (
 
 // Stats counts the work a mapping attempt performed.
 type Stats struct {
-	// MatchChecks is the number of row-compatibility tests. The batched
-	// kernel performs them in bulk — one pass of bitmat.MatchRowAgainst
-	// tests one FM row against every CM row and counts Defects.Rows checks —
-	// so algorithms built on candidate bitsets report the enumeration
-	// volume, not the pre-batch early-exit scan count.
+	// MatchChecks is the number of row-compatibility tests the attempt
+	// made: the rows each first-fit scan examined (HBA's scans, the
+	// matcher's seed) plus Defects.Rows for every candidate bitset the
+	// matcher filled with one pass of bitmat.MatchRowAgainst.
 	MatchChecks int
 	// Backtracks counts heuristic backtracking events (HBA only).
 	Backtracks int
@@ -88,26 +88,23 @@ func NewProblem(l *xbar.Layout, dm *defect.Map) (*Problem, error) {
 }
 
 // Scratch holds the reusable working storage of one mapping worker: the
-// assignment buffers, the candidate-bitset matrix and the bipartite
-// matcher. One Scratch per goroutine makes the Monte Carlo yield trial loop
-// allocation-free in steady state. The zero value is ready; a Scratch must
-// not be shared between goroutines.
+// assignment buffers, the row masks, the ablation's order buffers and the
+// bipartite matcher with its lazily filled candidate rows. Nothing in it
+// outlives a call: every call tests the pairs it needs against the map as
+// it is, so a map regenerated in place needs no invalidation. One Scratch
+// per goroutine makes the Monte Carlo yield trial loop allocation-free in
+// steady state. The zero value is ready; a Scratch must not be shared
+// between goroutines.
 type Scratch struct {
 	occupant, place     []int
 	allRows, assignment []int
-	match               matcher
-	// cand holds one candidate bitset per FM row (bit t = FM row fits CM
-	// row t), built by the batched matching kernel; freeMask tracks the
-	// unoccupied CM rows during HBA's greedy phase and is the all-rows
-	// availability mask of EA's matching.
-	cand     bitmat.Matrix
-	freeMask bitmat.Row
-	// candMap/candLayout/candVersion identify the (defect map, layout,
-	// map version) s.cand was last built for: while all three are
-	// unchanged, computeCandidates skips the rebuild.
-	candMap     *defect.Map
-	candLayout  *xbar.Layout
-	candVersion uint64
+	// order/orderKey hold the product order of HBAWith's ordering options.
+	order, orderKey []int
+	match           matcher
+	// free holds the unoccupied usable CM rows (no stuck-closed device) and
+	// occ the occupied ones; EA's matching reads free as its availability
+	// mask. fill is the ScarcityOrder option's candidate row.
+	free, occ, fill bitmat.Row
 }
 
 // NewScratch returns an empty Scratch (buffers grow on first use).
@@ -153,37 +150,25 @@ func growRow(buf *bitmat.Row, cols int) bitmat.Row {
 	return *buf
 }
 
-// computeCandidates fills s.cand with the candidate bitset of every FM row:
-// one batched-kernel pass per row over the defect map's packed functional
-// matrix, then a word-AND against the complement of the poisoned-row mask.
-// Bit t of s.cand.Row(i) afterwards equals rowMatches(i, t). Each pass
-// tests the row against all Defects.Rows CM rows, which is what MatchChecks
-// accounts. A call on the same map, layout and map version as the last
-// build skips the work: the bitsets are still exact.
+// usableRows fills s.free with the CM rows that can host a logic row at
+// all, those without a stuck-closed device.
 //
 //xbar:hotpath
-func (s *Scratch) computeCandidates(p *Problem, stats *Stats) {
-	nFM, nCM := p.Layout.Rows, p.Defects.Rows
-	// MatchChecks accounts the enumeration volume — nFM × nCM row tests —
-	// even when the skip below runs none of them, so Stats are identical
-	// across cold and warm runs (the equivalence tests compare them
-	// exactly).
-	stats.MatchChecks += nFM * nCM
-	m := p.Defects
-	if s.candMap == m && s.candLayout == p.Layout && s.candVersion == m.Version() &&
-		s.cand.Rows == nFM && s.cand.Cols == nCM {
-		return
-	}
-	//xbar:allow hotpath-alloc Reshape reuses the backing words and allocates only when the fabric grows
-	s.cand.Reshape(nFM, nCM)
-	fn := m.FunctionalMatrix()
-	closed := m.ClosedRows()
-	for i := 0; i < nFM; i++ {
-		row := s.cand.Row(i)
-		bitmat.MatchRowAgainst(p.Layout.ActiveRow(i), fn, row)
-		row.AndNot(closed)
-	}
-	s.candMap, s.candLayout, s.candVersion = m, p.Layout, m.Version()
+func (s *Scratch) usableRows(p *Problem) bitmat.Row {
+	nCM := p.Defects.Rows
+	free := growRow(&s.free, nCM)
+	free.Fill(nCM)
+	free.AndNot(p.Defects.ClosedRows())
+	return free
+}
+
+// firstFit is bitmat.FirstSubset on FM row i, counting the pairs it tested.
+//
+//xbar:hotpath
+func firstFit(p *Problem, i int, mask bitmat.Row, from int, stats *Stats) int {
+	t, n := bitmat.FirstSubset(p.Layout.ActiveRow(i), p.Defects.FunctionalMatrix(), mask, from)
+	stats.MatchChecks += n
+	return t
 }
 
 // ColumnFeasible reports whether every column the layout actually uses is
@@ -248,8 +233,9 @@ func NaiveScratch(p *Problem, s *Scratch) Result {
 func Exact(p *Problem) Result { return ExactScratch(p, nil) }
 
 // ExactScratch is Exact with reusable working storage (nil behaves like
-// Exact). The matching reads the batched candidate bitsets — one kernel
-// pass per FM row — instead of re-testing pairs.
+// Exact). The matching tests pairs only as it needs them: a first-fit seed
+// over the usable rows, then one batched candidate fill per FM row its
+// augmenting search reads.
 func ExactScratch(p *Problem, s *Scratch) Result {
 	if s == nil {
 		s = &Scratch{}
@@ -258,22 +244,21 @@ func ExactScratch(p *Problem, s *Scratch) Result {
 	if ok, _ := p.ColumnFeasible(); !ok {
 		return Result{Reason: reasonPoisonedColumn, Stats: stats}
 	}
-	nFM, nCM := p.Layout.Rows, p.Defects.Rows
-	// A stuck-closed CM row matches no FM row (the candidate bitsets
-	// already exclude it), so fewer usable rows than FM rows fails before
-	// the kernel runs.
-	if nCM-bitmat.PopCount(p.Defects.ClosedRows()) < nFM {
+	nFM := p.Layout.Rows
+	// A stuck-closed CM row matches no FM row, so fewer usable rows than FM
+	// rows fails before any pair is tested.
+	avail := s.usableRows(p)
+	if bitmat.PopCount(avail) < nFM {
 		return Result{Reason: reasonRowShortage, Stats: stats}
 	}
-	s.computeCandidates(p, &stats)
 	rows := growInts(&s.allRows, nFM)
 	for i := range rows {
 		rows[i] = i
 	}
-	avail := growRow(&s.freeMask, nCM)
-	avail.Fill(nCM)
 	place := growInts(&s.place, nFM)
-	if !s.match.match(&s.cand, rows, avail, place) {
+	ok := s.match.match(p.Layout.ActiveMatrix(), p.Defects.FunctionalMatrix(), rows, avail, place)
+	stats.MatchChecks += s.match.checks
+	if !ok {
 		return Result{Reason: reasonNoAssignment, Stats: stats}
 	}
 	return Result{Valid: true, Assignment: place, Stats: stats}
@@ -288,12 +273,18 @@ func ExactScratch(p *Problem, s *Scratch) Result {
 // rows the products left free.
 func HBA(p *Problem) Result { return HBAScratch(p, nil) }
 
-// HBAScratch is HBA with reusable working storage (nil behaves like HBA).
-// The enumeration loops run on precomputed candidate bitsets: the greedy
-// scan is a first-set-bit of cand & free, and the backtracking scan walks
-// the set bits of cand &^ free — the same top-to-bottom visiting order (and
-// therefore bit-identical placements) as the pre-batch per-pair scans.
-func HBAScratch(p *Problem, s *Scratch) Result {
+// HBAScratch is HBA with reusable working storage (nil behaves like HBA):
+// HBAWith under PaperHBAOptions.
+func HBAScratch(p *Problem, s *Scratch) Result { return HBAWith(p, PaperHBAOptions(), s) }
+
+// HBAWith runs the hybrid algorithm under the given option set with
+// reusable working storage (nil behaves like a fresh Scratch). Every scan
+// is the masked first-fit kernel over the usable CM rows, top to bottom:
+// the greedy scan over the free rows, the backtracking walk over the
+// occupied ones, and each relocation over the free ones again. It tests a
+// pair only when the scan reaches it, in the order of the per-pair scans
+// of Algorithm 1, so placements are those of the per-pair loops.
+func HBAWith(p *Problem, opt HBAOptions, s *Scratch) Result {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -302,12 +293,8 @@ func HBAScratch(p *Problem, s *Scratch) Result {
 		return Result{Reason: reasonPoisonedColumn, Stats: stats}
 	}
 	nCM := p.Defects.Rows
-	products := p.Layout.ProductRows()
-	outputs := p.Layout.OutputRows()
-	s.computeCandidates(p, &stats)
-
-	// occupant[t] = FM product row currently on CM row t, or -1; freeBits is
-	// the packed mirror of the occupant == -1 predicate.
+	// occupant[t] = FM product row currently on CM row t, or -1. free and
+	// occ split the usable CM rows into unoccupied and occupied.
 	occupant := growInts(&s.occupant, nCM)
 	for t := range occupant {
 		occupant[t] = -1
@@ -316,32 +303,35 @@ func HBAScratch(p *Problem, s *Scratch) Result {
 	for r := range place {
 		place[r] = -1
 	}
-	freeBits := growRow(&s.freeMask, nCM)
-	freeBits.Fill(nCM)
+	free := s.usableRows(p)
+	occ := growRow(&s.occ, nCM)
+	occ.Zero()
 
-	for _, i := range products {
-		cand := s.cand.Row(i)
-		if t := bitmat.FirstAnd(cand, freeBits); t >= 0 {
-			occupant[t] = i
-			place[i] = t
-			freeBits.Clear(t)
+	for _, i := range s.productOrder(p, opt, &stats) {
+		if t := firstFit(p, i, free, 0, &stats); t >= 0 {
+			occupant[t], place[i] = i, t
+			free.Clear(t)
+			occ.Set(t)
 			continue
 		}
-		// Backtracking: walk matched CM rows compatible with row i top to
-		// bottom; if relocating such a row's occupant to an unmatched row
+		if !opt.Backtracking {
+			return Result{Reason: reasonNoProductRow, Stats: stats}
+		}
+		// Backtracking: walk occupied CM rows compatible with row i top to
+		// bottom; if relocating such a row's occupant to a free row
 		// succeeds, row i takes its place. The lifted row t stays outside
-		// freeBits, so the relocation scan never offers it back.
+		// free, so the relocation scan never offers it back.
 		stats.Backtracks++
 		placed := false
-		for t := bitmat.NextAndNot(cand, freeBits, 0); t >= 0 && !placed; t = bitmat.NextAndNot(cand, freeBits, t+1) {
+		for t := firstFit(p, i, occ, 0, &stats); t >= 0; t = firstFit(p, i, occ, t+1, &stats) {
 			prev := occupant[t]
-			if u := bitmat.FirstAnd(s.cand.Row(prev), freeBits); u >= 0 {
-				occupant[u] = prev
-				place[prev] = u
-				freeBits.Clear(u)
-				occupant[t] = i
-				place[i] = t
+			if u := firstFit(p, prev, free, 0, &stats); u >= 0 {
+				occupant[u], place[prev] = prev, u
+				free.Clear(u)
+				occ.Set(u)
+				occupant[t], place[i] = i, t
 				placed = true
+				break
 			}
 		}
 		if !placed {
@@ -349,11 +339,31 @@ func HBAScratch(p *Problem, s *Scratch) Result {
 		}
 	}
 
-	// Exact assignment of the output rows onto the unmatched CM rows.
-	if bitmat.PopCount(freeBits) < len(outputs) {
+	outputs := p.Layout.OutputRows()
+	if !opt.ExactOutputs {
+		// First-fit output placement among the free rows, with no
+		// relocation: this isolates exactly the choice the paper motivates
+		// (an exact assignment of the outputs vs continuing the greedy
+		// scan). Whenever the first fit succeeds, the exact matching also
+		// succeeds, so the exact variant dominates this one by construction.
+		for _, i := range outputs {
+			t := firstFit(p, i, free, 0, &stats)
+			if t < 0 {
+				return Result{Reason: reasonOutputsBlocked, Stats: stats}
+			}
+			place[i] = t
+			free.Clear(t)
+		}
+		return Result{Valid: true, Assignment: place, Stats: stats}
+	}
+	// Exact assignment of the output rows onto the unoccupied CM rows; the
+	// stuck-closed rows count as unoccupied but host nothing.
+	if bitmat.PopCount(free)+bitmat.PopCount(p.Defects.ClosedRows()) < len(outputs) {
 		return Result{Reason: reasonOutputShortage, Stats: stats}
 	}
-	if !s.match.match(&s.cand, outputs, freeBits, place) {
+	ok := s.match.match(p.Layout.ActiveMatrix(), p.Defects.FunctionalMatrix(), outputs, free, place)
+	stats.MatchChecks += s.match.checks
+	if !ok {
 		return Result{Reason: reasonOutputsBlocked, Stats: stats}
 	}
 	return Result{Valid: true, Assignment: place, Stats: stats}

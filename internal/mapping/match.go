@@ -3,12 +3,12 @@ package mapping
 import "repro/internal/bitmat"
 
 // matcher decides the paper's assignment step — does every listed FM row
-// get its own compatible CM row? — as bipartite matching on the candidate
-// bitsets. EA runs it over every FM row, HBA over its output rows and the
-// CM rows its product phase left free. A zero-cost complete assignment
-// exists exactly when a row-saturating matching does, so this answers the
-// same question as the Munkres formulation (internal/munkres, the test
-// oracle) without materializing a cost matrix.
+// get its own compatible CM row? — as bipartite matching. EA runs it over
+// every FM row, HBA over its output rows and the CM rows its product phase
+// left free. A zero-cost complete assignment exists exactly when a
+// row-saturating matching does, so this answers the same question as the
+// Munkres formulation (internal/munkres, the test oracle) without
+// materializing a cost matrix.
 //
 // The search is a greedy first-fit seed followed, for each row the seed
 // could not place, by a depth-first augmenting-path search (Kuhn's method).
@@ -16,37 +16,86 @@ import "repro/internal/bitmat"
 // rows on average for the search on each BenchmarkTable2EA circuit,
 // 583-row alu4 included, so the plain search is kept; Hopcroft & Karp's
 // layered phases (SIAM J. Comput. 1973) improve the worst case but add a
-// breadth-first pass per phase. Both frontiers are word scans: a free
-// candidate is the first set bit of cand & free, the rows still to explore
-// are cand &^ seen. The buffers grow once and are reused, so a warm
-// matcher allocates nothing.
+// breadth-first pass per phase.
+//
+// Pairs are tested on demand. The seed runs the masked first-fit kernel
+// (bitmat.FirstSubset) over the free rows, stopping at each row's first
+// fit. An FM row's candidate bitset — the available CM rows it fits — is
+// filled with one batched-kernel pass (bitmat.MatchRowAgainst) only when
+// the augmenting search first reads that row, and the known mask records
+// which rows are filled in this call. Both search frontiers are word
+// scans: a free candidate is the first set bit of cand & free, the rows
+// still to explore are cand &^ seen. The buffers grow once and are
+// reused, so a warm matcher allocates nothing.
 type matcher struct {
-	cand  *bitmat.Matrix
-	place []int
+	fm, cm *bitmat.Matrix
+	avail  bitmat.Row
+	place  []int
 	// owner[t] is the FM row holding CM row t; meaningful only for
 	// available rows that are no longer free.
 	owner []int
 	// free holds the available CM rows not yet taken; seen holds the rows
-	// the current augmenting search has visited plus every unavailable
-	// row, so cand &^ seen is the unexplored frontier.
+	// the current augmenting search has visited, so cand &^ seen is the
+	// unexplored frontier.
 	free, seen bitmat.Row
+	// cand holds FM row i's candidate bitset in words [i*w, (i+1)*w),
+	// w = len(free), valid only while known has bit i.
+	cand  []uint64
+	known bitmat.Row
+	// checks counts the pair tests of the current call: the rows each
+	// first fit examined plus cm.Rows per filled candidate row.
+	checks int
+}
+
+// reset prepares the matcher for one call on FM rows fm against CM rows cm,
+// restricted to the CM rows set in avail, writing placements to place.
+// avail must have cm.Rows columns; it is read, never written.
+//
+//xbar:hotpath
+func (m *matcher) reset(fm, cm *bitmat.Matrix, avail bitmat.Row, place []int) {
+	m.fm, m.cm, m.avail, m.place, m.checks = fm, cm, avail, place, 0
+	growInts(&m.owner, cm.Rows)
+	copy(growRow(&m.free, cm.Rows), avail)
+	growRow(&m.seen, cm.Rows)
+	growRow(&m.known, fm.Rows).Zero()
+	if n := fm.Rows * len(m.free); cap(m.cand) < n {
+		//xbar:allow hotpath-alloc grow-once candidate storage; steady state reuses it
+		m.cand = make([]uint64, n)
+	}
+}
+
+// candidates returns FM row i's candidate bitset, filling it on the call's
+// first read: one MatchRowAgainst pass ANDed with avail.
+//
+//xbar:hotpath
+func (m *matcher) candidates(i int) bitmat.Row {
+	w := len(m.free)
+	row := bitmat.Row(m.cand[i*w : (i+1)*w : (i+1)*w])
+	if !m.known.Get(i) {
+		bitmat.MatchRowAgainst(m.fm.Row(i), m.cm, row)
+		for k, a := range m.avail {
+			row[k] &= a
+		}
+		m.known.Set(i)
+		m.checks += m.cm.Rows
+	}
+	return row
 }
 
 // match places every FM row listed in rows onto a distinct CM row that is
-// set in avail and in the row's candidate bitset cand.Row(i), writing the
-// choice to place[i]. It reports whether such a placement exists; on false,
-// place holds a partial assignment. avail must have cand.Cols columns.
+// set in avail and that the row fits, writing the choice to place[i]. It
+// reports whether such a placement exists; on false, place holds a partial
+// assignment. fm and cm must have equal column counts and avail cm.Rows
+// columns.
 //
 //xbar:hotpath
-func (m *matcher) match(cand *bitmat.Matrix, rows []int, avail bitmat.Row, place []int) bool {
-	m.cand, m.place = cand, place
-	growInts(&m.owner, cand.Cols)
-	free := growRow(&m.free, cand.Cols)
-	copy(free, avail)
-	seen := growRow(&m.seen, cand.Cols)
+func (m *matcher) match(fm, cm *bitmat.Matrix, rows []int, avail bitmat.Row, place []int) bool {
+	m.reset(fm, cm, avail, place)
 	for _, i := range rows {
 		place[i] = -1
-		if t := bitmat.FirstAnd(cand.Row(i), free); t >= 0 {
+		t, n := bitmat.FirstSubset(fm.Row(i), cm, m.free, 0)
+		m.checks += n
+		if t >= 0 {
 			m.take(i, t)
 		}
 	}
@@ -54,9 +103,7 @@ func (m *matcher) match(cand *bitmat.Matrix, rows []int, avail bitmat.Row, place
 		if place[i] >= 0 {
 			continue
 		}
-		for w := range seen {
-			seen[w] = ^avail[w]
-		}
+		m.seen.Zero()
 		if !m.augment(i) {
 			return false
 		}
@@ -70,7 +117,7 @@ func (m *matcher) match(cand *bitmat.Matrix, rows []int, avail bitmat.Row, place
 //
 //xbar:hotpath
 func (m *matcher) augment(i int) bool {
-	c := m.cand.Row(i)
+	c := m.candidates(i)
 	if t := bitmat.FirstAnd(c, m.free); t >= 0 {
 		m.take(i, t)
 		return true

@@ -117,6 +117,12 @@ func (l *Layout) pack() {
 //xbar:hotpath
 func (l *Layout) ActiveRow(r int) bitmat.Row { return l.packed.Row(r) }
 
+// ActiveMatrix returns the packed function matrix (FM) whose row r is
+// ActiveRow(r). Read-only view: callers must not mutate it.
+//
+//xbar:hotpath
+func (l *Layout) ActiveMatrix() *bitmat.Matrix { return l.packed }
+
 // UsedColumns returns the packed mask of columns the layout actually uses
 // (read-only view).
 func (l *Layout) UsedColumns() bitmat.Row { return l.usedCols }
@@ -316,9 +322,13 @@ func (l *Layout) FunctionMatrix() [][]bool {
 // ProductRows lists the indices of product/gate rows (FMm in the paper);
 // OutputRows lists inversion rows (FMo). Both return cached slices built at
 // construction time — callers must not mutate them.
+//
+//xbar:hotpath
 func (l *Layout) ProductRows() []int { return l.productRows }
 
 // OutputRows lists the inversion rows of the layout.
+//
+//xbar:hotpath
 func (l *Layout) OutputRows() []int { return l.outputRows }
 
 // Render draws the layout as ASCII art: '#' for an active device, '.' for a
