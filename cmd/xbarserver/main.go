@@ -45,16 +45,17 @@
 // result is group-committed to a segmented write-ahead log before it is
 // published, so a server killed at any point restarts with everything it
 // ever acknowledged; the journal is the server's only durable state, and
-// without it the cache starts empty. A second instance started with
-// -follow=<peer-url> warm-starts from the peer's journal and continuously
-// mirrors its results.
+// without it the cache starts empty.
 //
 // With -cluster-self and -cluster-peers the member joins lease-based
-// leader election on the journal: followers mirror the leader and
-// heartbeat it through the replication feed; when the lease expires, the
-// follower with the highest replicated sequence promotes itself and the
-// rest re-aim. Front a fleet with xbargateway for consistent-hash routing
-// and failover-aware retries.
+// leader election on the journal: followers mirror the leader's journal
+// into their own and heartbeat it through the replication feed; when the
+// lease expires, the follower with the highest replicated sequence
+// promotes itself and the rest re-aim. Replication runs only between
+// cluster members: a read replica is a member. A member whose journal
+// holds no lease runs one election before it serves, so the first member
+// up leads and a later one adopts the live leader. Front a fleet with
+// xbargateway for consistent-hash routing and failover-aware retries.
 package main
 
 import (
@@ -82,12 +83,9 @@ func main() {
 	journalCompactEvery := flag.Duration("journal-compact-interval", 0, "journal compaction period (0 = 5m, negative disables)")
 	journalMaxAge := flag.Duration("journal-max-age", 0, "drop journal records older than this at compaction (0 = keep all)")
 	journalMaxRecords := flag.Int("journal-max-records", 0, "keep only the newest N live journal records at compaction (0 = keep all)")
-	follow := flag.String("follow", "", "run as a follower of the xbarserver at this base URL, mirroring its journal into the local cache (and local journal)")
-	followEvery := flag.Duration("follow-interval", 0, "follower retry pacing when the peer is unreachable (0 = 1s; backs off exponentially up to 30s)")
 	clusterSelf := flag.String("cluster-self", "", "this member's own base URL: joins lease-based leader election with -cluster-peers (requires -journal-dir)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated base URLs of the other cluster members")
-	lease := flag.Duration("lease", 0, "leader lease duration: followers elect after this long without leader contact (0 = 3s)")
-	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "cluster peer-poll pacing (0 = lease/3); the leader renews its lease every lease/2 regardless")
+	lease := flag.Duration("lease", 0, "leader lease duration: followers elect after this long without leader contact; the election loop ticks every lease/3 and the leader renews once lease/2 has passed (0 = 3s)")
 	timeout := flag.Duration("timeout", 0, "default per-job timeout (0 = none)")
 	maxQueued := flag.Int("max-queued-jobs", 0, "admission control: reject batches beyond this many unfinished jobs with 429 (0 = unlimited)")
 	maxBatches := flag.Int("max-batches", 0, "admission control: reject submissions beyond this many open batches with 429 (0 = unlimited)")
@@ -122,12 +120,9 @@ func main() {
 		JournalCompactInterval: *journalCompactEvery,
 		JournalMaxAge:          *journalMaxAge,
 		JournalMaxRecords:      *journalMaxRecords,
-		FollowPeer:             *follow,
-		FollowPollInterval:     *followEvery,
 		ClusterSelf:            strings.TrimRight(*clusterSelf, "/"),
 		ClusterPeers:           peers,
 		LeaseDuration:          *lease,
-		HeartbeatInterval:      *heartbeatEvery,
 		DefaultTimeout:         *timeout,
 		MaxQueuedJobs:          *maxQueued,
 		MaxBatches:             *maxBatches,
@@ -158,7 +153,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	slog.Info("xbarserver listening", "component", "xbarserver", "addr", *addr,
 		"workers", *workers, "cache", *cacheSize, "journal_dir", *journalDir,
-		"follow", *follow)
+		"cluster_self", *clusterSelf)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

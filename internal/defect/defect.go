@@ -59,17 +59,12 @@ type Map struct {
 	closedCol     []int32
 	closedRowMask bitmat.Row
 	closedColMask bitmat.Row
-	// nOpen, nClosed are whole-map defect totals for Summarize.
-	nOpen, nClosed int
 
 	// draws holds one row of the random stream while Regenerate samples it,
 	// and cut the thresholds of the last Params it sampled with (the zero
 	// cut is Params{}'s).
 	draws []int64
 	cut   cut
-
-	// version counts effective mutations (see Version).
-	version uint64
 }
 
 // NewMap returns an all-functional defect map.
@@ -153,8 +148,7 @@ func Generate(rows, cols int, p Params, src Source) (*Map, error) {
 // thresholds of p (see cut), and the row's words are written whole. It
 // consumes the stream exactly as the per-cell loop does, one Int63 per
 // crosspoint in row-major order plus one for every value Float64 would
-// redraw, so the map is the one that loop builds from the same stream. The
-// version advances only when some word of either plane changed.
+// redraw, so the map is the one that loop builds from the same stream.
 //
 //xbar:hotpath
 func (m *Map) Regenerate(p Params, src Source) error {
@@ -170,8 +164,6 @@ func (m *Map) Regenerate(p Params, src Source) error {
 		m.closedCol[i] = 0
 	}
 	m.closedColMask.Zero()
-	m.nOpen, m.nClosed = 0, 0
-	var diff uint64
 	draws := m.draws
 	for r := 0; r < m.Rows; r++ {
 		if bulk != nil {
@@ -195,9 +187,7 @@ func (m *Map) Regenerate(p Params, src Source) error {
 				redraw(draws[lo:], src)
 				continue
 			}
-			diff |= (fRow[w] ^ f) | (cRow[w] ^ c)
 			fRow[w], cRow[w] = f, c
-			m.nOpen += len(cells) - bits.OnesCount64(f|c)
 			if c != 0 {
 				m.closedColMask[w] |= c
 				rowClosed += int32(bits.OnesCount64(c))
@@ -213,10 +203,6 @@ func (m *Map) Regenerate(p Params, src Source) error {
 		} else {
 			m.closedRowMask.Clear(r)
 		}
-		m.nClosed += int(rowClosed)
-	}
-	if diff != 0 {
-		m.version++
 	}
 	return nil
 }
@@ -339,14 +325,10 @@ func (m *Map) Set(r, c int, k Kind) {
 	if old == k {
 		return
 	}
-	m.version++
 	switch old {
 	case OK:
 		m.functional.Clear(r, c)
-	case StuckOpen:
-		m.nOpen--
 	case StuckClosed:
-		m.nClosed--
 		m.closed.Clear(r, c)
 		if m.closedRow[r]--; m.closedRow[r] == 0 {
 			m.closedRowMask.Clear(r)
@@ -358,10 +340,7 @@ func (m *Map) Set(r, c int, k Kind) {
 	switch k {
 	case OK:
 		m.functional.Set(r, c)
-	case StuckOpen:
-		m.nOpen++
 	case StuckClosed:
-		m.nClosed++
 		m.closed.Set(r, c)
 		if m.closedRow[r]++; m.closedRow[r] == 1 {
 			m.closedRowMask.Set(r)
@@ -371,16 +350,6 @@ func (m *Map) Set(r, c int, k Kind) {
 		}
 	}
 }
-
-// Version returns the mutation counter: it advances every time a cell's kind
-// effectively changes (writes of the current kind are free). Equal versions
-// across two observations guarantee identical map contents in between, so a
-// consumer that caches a view derived from the map (candidate bitsets, a
-// transposed functional view, a projection) records the version it built
-// at and skips the rebuild while the version is unchanged.
-//
-//xbar:hotpath
-func (m *Map) Version() uint64 { return m.version }
 
 // Functional reports whether the device at (r, c) is programmable.
 //
@@ -434,49 +403,6 @@ func (m *Map) RowHasClosed(r int) bool { return m.closedRow[r] > 0 }
 //
 //xbar:hotpath
 func (m *Map) ColHasClosed(c int) bool { return m.closedCol[c] > 0 }
-
-// Stats summarizes a defect map.
-type Stats struct {
-	Devices     int
-	Open        int
-	Closed      int
-	OpenRate    float64
-	ClosedRate  float64
-	PoisonedRow int // rows containing at least one stuck-closed device
-	PoisonedCol int
-}
-
-// Summarize computes defect statistics from the incremental caches (no
-// rescan of the cells).
-func (m *Map) Summarize() Stats {
-	s := Stats{
-		Devices:     m.Rows * m.Cols,
-		Open:        m.nOpen,
-		Closed:      m.nClosed,
-		PoisonedRow: bitmat.PopCount(m.closedRowMask),
-		PoisonedCol: bitmat.PopCount(m.closedColMask),
-	}
-	if s.Devices > 0 {
-		s.OpenRate = float64(s.Open) / float64(s.Devices)
-		s.ClosedRate = float64(s.Closed) / float64(s.Devices)
-	}
-	return s
-}
-
-// CrossbarMatrix renders the CM of the paper's Fig. 8(b): true = functional
-// switch (matches both 1 and 0 of the FM), false = stuck-open (matches only
-// 0). Stuck-closed devices are also false here; callers that tolerate them
-// must additionally exclude poisoned lines.
-func (m *Map) CrossbarMatrix() [][]bool {
-	cm := make([][]bool, m.Rows)
-	for r := range cm {
-		cm[r] = make([]bool, m.Cols)
-		for c := range cm[r] {
-			cm[r][c] = m.Functional(r, c)
-		}
-	}
-	return cm
-}
 
 // String renders the map: '.' functional, 'o' stuck-open, 'x' stuck-closed.
 func (m *Map) String() string {

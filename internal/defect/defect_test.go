@@ -4,7 +4,24 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitmat"
 )
+
+// countKinds tallies the map's stuck-open and stuck-closed cells by At.
+func countKinds(m *Map) (open, closed int) {
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			switch m.At(r, c) {
+			case StuckOpen:
+				open++
+			case StuckClosed:
+				closed++
+			}
+		}
+	}
+	return open, closed
+}
 
 func TestGenerateRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -12,12 +29,12 @@ func TestGenerateRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Summarize()
-	if math.Abs(s.OpenRate-0.10) > 0.01 {
-		t.Errorf("open rate = %v, want ~0.10", s.OpenRate)
+	open, closed := countKinds(m)
+	if rate := float64(open) / (200 * 200); math.Abs(rate-0.10) > 0.01 {
+		t.Errorf("open rate = %v, want ~0.10", rate)
 	}
-	if math.Abs(s.ClosedRate-0.02) > 0.005 {
-		t.Errorf("closed rate = %v, want ~0.02", s.ClosedRate)
+	if rate := float64(closed) / (200 * 200); math.Abs(rate-0.02) > 0.005 {
+		t.Errorf("closed rate = %v, want ~0.02", rate)
 	}
 }
 
@@ -39,8 +56,8 @@ func TestGenerateValidation(t *testing.T) {
 		if err := m.Regenerate(p, rand.New(rand.NewSource(1))); err == nil {
 			t.Errorf("Regenerate accepted %+v", p)
 		}
-		if s := m.Summarize(); s.Open != 0 || s.Closed != 0 {
-			t.Errorf("rejected %+v still changed the map: %+v", p, s)
+		if open, closed := countKinds(m); open != 0 || closed != 0 {
+			t.Errorf("rejected %+v still changed the map: %d open, %d closed", p, open, closed)
 		}
 	}
 	if _, err := Generate(2, 2, Params{}, nil); err == nil {
@@ -68,19 +85,21 @@ func TestRowColPoisoning(t *testing.T) {
 	if !m.RowHasClosed(2) || m.RowHasClosed(0) {
 		t.Error("RowHasClosed wrong")
 	}
-	s := m.Summarize()
-	if s.PoisonedRow != 1 || s.PoisonedCol != 1 {
-		t.Errorf("poisoned = %d/%d, want 1/1", s.PoisonedRow, s.PoisonedCol)
+	if rows, cols := bitmat.PopCount(m.ClosedRows()), bitmat.PopCount(m.ClosedCols()); rows != 1 || cols != 1 {
+		t.Errorf("poisoned = %d/%d, want 1/1", rows, cols)
 	}
 }
 
-func TestCrossbarMatrix(t *testing.T) {
+// TestFunctionalMatrixIsCM: the functional plane is the CM of the paper's
+// Fig. 8(b) — a bit is set only for a programmable device, so stuck-open
+// and stuck-closed devices both read 0.
+func TestFunctionalMatrixIsCM(t *testing.T) {
 	m := NewMap(2, 2)
 	m.Set(0, 1, StuckOpen)
 	m.Set(1, 0, StuckClosed)
-	cm := m.CrossbarMatrix()
-	if !cm[0][0] || cm[0][1] || cm[1][0] || !cm[1][1] {
-		t.Errorf("CM = %v", cm)
+	cm := m.FunctionalMatrix()
+	if !cm.Get(0, 0) || cm.Get(0, 1) || cm.Get(1, 0) || !cm.Get(1, 1) {
+		t.Errorf("CM rows = %b, %b", m.FunctionalRow(0), m.FunctionalRow(1))
 	}
 }
 
@@ -113,8 +132,7 @@ func TestZeroDefectGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Summarize()
-	if s.Open != 0 || s.Closed != 0 {
+	if open, closed := countKinds(m); open != 0 || closed != 0 {
 		t.Error("zero-probability map must be clean")
 	}
 }

@@ -28,13 +28,7 @@ func TestRegenerateMatchesGenerate(t *testing.T) {
 	if err := reused.Regenerate(p, rand.New(rand.NewSource(99))); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.String() != reused.String() {
-		t.Fatal("Regenerate diverged from Generate on the same seed")
-	}
-	fs, rs := fresh.Summarize(), reused.Summarize()
-	if fs != rs {
-		t.Fatalf("summaries diverged: %+v vs %+v", fs, rs)
-	}
+	sameMap(t, "Regenerate vs Generate on the same seed", reused, fresh)
 	if err := reused.Regenerate(Params{POpen: -1}, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("invalid params accepted")
 	}
@@ -45,8 +39,8 @@ func TestRegenerateMatchesGenerate(t *testing.T) {
 
 // TestIncrementalCachesMatchRescan drives random Set transitions (including
 // overwrites and clears) and cross-checks every cached answer — the packed
-// functional rows, the O(1) line flags, and Summarize — against a full
-// rescan of the cells.
+// functional rows, the O(1) line flags and the per-column closed counts —
+// against a full rescan of the cells.
 func TestIncrementalCachesMatchRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMap(13, 70) // spans a word boundary
@@ -56,15 +50,10 @@ func TestIncrementalCachesMatchRescan(t *testing.T) {
 		if step%100 != 0 && step != 1999 {
 			continue
 		}
-		var wantOpen, wantClosed int
 		for r := 0; r < m.Rows; r++ {
 			rowClosed := false
 			for c := 0; c < m.Cols; c++ {
-				switch m.At(r, c) {
-				case StuckOpen:
-					wantOpen++
-				case StuckClosed:
-					wantClosed++
+				if m.At(r, c) == StuckClosed {
 					rowClosed = true
 				}
 				if m.FunctionalRow(r).Get(c) != m.Functional(r, c) {
@@ -76,23 +65,22 @@ func TestIncrementalCachesMatchRescan(t *testing.T) {
 			}
 		}
 		for c := 0; c < m.Cols; c++ {
-			colClosed := false
+			closed := 0
 			for r := 0; r < m.Rows; r++ {
 				if m.At(r, c) == StuckClosed {
-					colClosed = true
+					closed++
 				}
 			}
+			if m.ClosedInColumn(c) != closed {
+				t.Fatalf("step %d: ClosedInColumn(%d) = %d, rescan counts %d", step, c, m.ClosedInColumn(c), closed)
+			}
+			colClosed := closed > 0
 			if m.ColHasClosed(c) != colClosed {
 				t.Fatalf("step %d: ColHasClosed(%d) stale", step, c)
 			}
 			if m.ClosedCols().Get(c) != colClosed {
 				t.Fatalf("step %d: ClosedCols mask stale at %d", step, c)
 			}
-		}
-		s := m.Summarize()
-		if s.Open != wantOpen || s.Closed != wantClosed {
-			t.Fatalf("step %d: Summarize counts %d/%d, want %d/%d",
-				step, s.Open, s.Closed, wantOpen, wantClosed)
 		}
 	}
 }
@@ -124,9 +112,6 @@ func sameMap(t *testing.T, context string, got, want *Map) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("%s: maps differ:\n%s\nwant\n%s", context, got, want)
-	}
-	if gs, ws := got.Summarize(), want.Summarize(); gs != ws {
-		t.Fatalf("%s: summaries differ: %+v, want %+v", context, gs, ws)
 	}
 	for r := 0; r < got.Rows; r++ {
 		if !bitmat.Equal(got.FunctionalRow(r), want.FunctionalRow(r)) || got.RowHasClosed(r) != want.RowHasClosed(r) {
@@ -317,10 +302,10 @@ func TestRedrawZoneMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaWindowMatchesOracleDiff: over consecutive Regenerates of one map,
-// the version advances exactly when the oracle's snapshot diff says some
-// cell's kind changed — open↔closed flips included — so an unchanged version
-// always means an unchanged map.
+// TestDeltaWindowMatchesOracleDiff: over consecutive Regenerates of one
+// map, each trial's map and caches equal the oracle's fresh map for the
+// same stream — open↔closed flips and unchanged redraws included — so a
+// reused map carries nothing over from the trial before.
 func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
 	for _, tc := range []struct {
 		p          Params
@@ -340,26 +325,32 @@ func TestDeltaWindowMatchesOracleDiff(t *testing.T) {
 		m := NewMap(rows, cols)
 		src := lfg.New(1234)
 		ref := rand.New(rand.NewSource(1234))
-		prev := NewMap(rows, cols)
 		for trial := 0; trial < 40; trial++ {
-			v := m.Version()
 			if err := m.Regenerate(p, src); err != nil {
 				t.Fatal(err)
 			}
-			next := oracleGenerate(rows, cols, p, ref)
-			sameMap(t, fmt.Sprintf("%dx%d %+v trial %d", rows, cols, p, trial), m, next)
-			changed := false
-			for r := 0; r < rows; r++ {
-				for c := 0; c < cols; c++ {
-					if prev.At(r, c) != next.At(r, c) {
-						changed = true
-					}
-				}
+			sameMap(t, fmt.Sprintf("%dx%d %+v trial %d", rows, cols, p, trial), m, oracleGenerate(rows, cols, p, ref))
+		}
+	}
+}
+
+// TestRegenerateDeltaZeroAllocs pins that regeneration is allocation-free
+// (the Monte Carlo trial loop contract), from the harness's bulk source and
+// from a *rand.Rand, and across a Params change.
+func TestRegenerateDeltaZeroAllocs(t *testing.T) {
+	m := NewMap(300, 44)
+	p, q := Params{POpen: 0.1}, Params{POpen: 0.1, PClosed: 0.01}
+	for _, src := range []Source{lfg.New(5), rand.New(rand.NewSource(5))} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := m.Regenerate(p, src); err != nil {
+				t.Fatal(err)
 			}
-			if changed != (m.Version() != v) {
-				t.Fatalf("%+v trial %d: map changed %v but version moved %v", p, trial, changed, m.Version() != v)
+			if err := m.Regenerate(q, src); err != nil {
+				t.Fatal(err)
 			}
-			prev = next
+		})
+		if allocs != 0 {
+			t.Fatalf("Regenerate from %T allocates %v per trial, want 0", src, allocs)
 		}
 	}
 }

@@ -78,17 +78,19 @@ type leaseClaim struct {
 //     or diverged history detectable at replication time.
 //   - The follower's tail pull doubles as the failure detector: every
 //     successful pull (the leader answers, even empty) is proof of life.
-//     The leader renews its lease every LeaseDuration/2, and each renewal
-//     is a journal commit that wakes followers' long-polls, so a healthy
-//     leader is never silent for longer than half a lease.
-//   - On lease expiry a follower polls its peers' /v1/cluster/state: if a
-//     peer already promoted (same or newer epoch), it adopts that leader;
-//     otherwise, if no reachable peer has replicated further (ReplCursor,
-//     ties broken by the greater URL), it promotes itself — stops
-//     following, bumps the epoch, appends a lease record, and becomes the
-//     replication source. A deposed leader that comes back observes the
-//     higher epoch on its next peer poll (or in a replicated lease record)
-//     and demotes itself back to mirroring.
+//     The election loop ticks every LeaseDuration/3, and the leader renews
+//     its lease on the first tick at least half a lease after the last
+//     renewal. Each renewal is a journal commit that wakes followers'
+//     long-polls, so a healthy leader is never silent for much longer than
+//     two thirds of a lease.
+//   - On lease expiry, and at boot when its journal holds no lease, a
+//     member polls its peers' /v1/cluster/state: if a peer leads (same or
+//     newer epoch), it adopts that leader; otherwise, if no reachable peer
+//     has replicated further (ReplCursor, ties broken by the greater URL),
+//     it promotes itself — stops following, bumps the epoch, appends a
+//     lease record, and becomes the replication source. A deposed leader
+//     that comes back observes the higher epoch on its next peer poll (or
+//     in a replicated lease record) and demotes itself back to mirroring.
 type clusterNode struct {
 	e         *Engine
 	self      string
@@ -109,48 +111,24 @@ type clusterNode struct {
 
 // startCluster wires the cluster node from Options (ClusterSelf is set) and
 // any leadership state recovered from the journal replay, then starts the
-// election loop.
+// election loop and, unless this member leads, the mirror loop.
 func (e *Engine) startCluster() {
 	lease := e.opt.LeaseDuration
 	if lease <= 0 {
 		lease = DefaultLeaseDuration
 	}
-	hb := e.opt.HeartbeatInterval
-	if hb <= 0 {
-		hb = lease / 3
-	}
 	c := &clusterNode{
-		e:         e,
-		self:      e.opt.ClusterSelf,
-		peers:     append([]string(nil), e.opt.ClusterPeers...),
-		lease:     lease,
-		heartbeat: hb,
-		client:    &http.Client{Timeout: hb},
-		stop:      make(chan struct{}),
+		e:           e,
+		self:        e.opt.ClusterSelf,
+		peers:       append([]string(nil), e.opt.ClusterPeers...),
+		lease:       lease,
+		heartbeat:   lease / 3,
+		client:      &http.Client{Timeout: lease / 3},
+		lastContact: time.Now(),
+		stop:        make(chan struct{}),
 	}
 	sort.Strings(c.peers)
-	c.leader = e.opt.FollowPeer
-	if rl := e.recoveredLease; rl != nil {
-		// The local journal knows who last held the lease. If that was us,
-		// resume leading (a usurper with a higher epoch will depose us on
-		// the first peer poll); otherwise mirror the recorded leader.
-		c.epoch = rl.Epoch
-		c.leader = rl.Leader
-	}
-	c.isLeader = c.leader == "" || c.leader == c.self
-	if c.isLeader {
-		c.leader = c.self
-		if c.epoch == 0 {
-			c.epoch = 1
-		}
-	}
-	c.lastContact = time.Now()
 	e.cluster = c
-	e.met.clusterEpoch.Set(int64(c.epoch))
-	if c.isLeader {
-		e.met.clusterIsLeader.Set(1)
-		c.appendLease()
-	}
 	e.met.reg.NewGaugeFunc("xbar_cluster_lease_age_seconds",
 		"Lease staleness: since the last renewal (leader) or last proof of leader life (follower).",
 		func() float64 {
@@ -161,8 +139,29 @@ func (e *Engine) startCluster() {
 	e.met.reg.NewGaugeFunc("xbar_cluster_members",
 		"Cluster members this node coordinates with, including itself.",
 		func() float64 { return float64(len(c.peers) + 1) })
+	if rl := e.recoveredLease; rl != nil {
+		// The local journal knows who last held the lease. If that was us,
+		// resume leading (a usurper with a higher epoch will depose us on
+		// the first peer poll); otherwise mirror the recorded leader.
+		c.epoch, c.leader, c.isLeader = rl.Epoch, rl.Leader, rl.Leader == c.self
+		e.met.clusterEpoch.Set(int64(c.epoch))
+		if c.isLeader {
+			e.met.clusterIsLeader.Set(1)
+			c.appendLease()
+		}
+	} else {
+		// A fresh member is a follower that knows no leader, and it leads
+		// only by winning an election. One round before it serves adopts a
+		// live leader or, when no reachable peer leads or has replicated
+		// further, promotes it: the first member up leads epoch 1.
+		c.elect()
+	}
+	// Nothing else runs on c until the mirror and election loops start.
 	slog.Info("cluster member starting", "component", "cluster",
 		"member", c.self, "role", c.role(), "epoch", c.epoch, "leader", c.leader, "lease", c.lease)
+	if !c.isLeader {
+		e.startFollower()
+	}
 	c.wg.Add(1)
 	go c.loop()
 }
@@ -175,32 +174,21 @@ func (e *Engine) stopCluster() {
 	e.cluster.wg.Wait()
 }
 
-// clusterFollowing reports whether the cluster node starts in follower
-// role (New uses it to decide whether to start the mirror loop even when
-// Options.FollowPeer is empty).
-func (e *Engine) clusterFollowing() bool {
-	return e.cluster != nil && !e.cluster.leading()
-}
-
 // followTarget is the URL the mirror loop pulls from: the cluster's
-// current view of the leader when clustered (it moves on failover), else
-// the static Options.FollowPeer.
-func (e *Engine) followTarget() string {
-	if e.cluster != nil {
-		c := e.cluster
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.isLeader {
-			return "" // promoted mid-loop: nothing to pull from
-		}
-		return c.leader
+// current view of the leader, which moves on failover. It is empty while
+// this member leads or knows no leader.
+func (c *clusterNode) followTarget() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.isLeader {
+		return "" // promoted mid-loop: nothing to pull from
 	}
-	return e.opt.FollowPeer
+	return c.leader
 }
 
 // ClusterState reports this member's view of the fleet (the
 // GET /v1/cluster/state payload). Without cluster options the member is
-// RoleSingle — or a plain RoleFollower when only FollowPeer is set.
+// RoleSingle.
 func (e *Engine) ClusterState() ClusterState {
 	_, lastSeq := e.journalStats()
 	st := ClusterState{
@@ -210,9 +198,6 @@ func (e *Engine) ClusterState() ClusterState {
 		ReplCursor: uint64(e.met.replCursor.Value()),
 	}
 	if e.cluster == nil {
-		if e.opt.FollowPeer != "" {
-			st.Role, st.Leader = RoleFollower, e.opt.FollowPeer
-		}
 		return st
 	}
 	c := e.cluster
@@ -231,12 +216,6 @@ func (c *clusterNode) role() string {
 		return RoleLeader
 	}
 	return RoleFollower
-}
-
-func (c *clusterNode) leading() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.isLeader
 }
 
 // noteContact records proof of leader life (the mirror loop calls it after
@@ -312,22 +291,26 @@ func (c *clusterNode) tick() {
 		}
 		return
 	}
-	if stale > c.lease {
-		c.elect()
+	if stale > c.lease && c.elect() {
+		c.e.met.clusterFailovers.Inc()
 	}
 }
 
-// elect runs one election round after the lease expired. The round either
-// adopts an already-promoted peer, promotes this node (no reachable peer
-// has replicated further), or defers to a better-positioned candidate —
-// in which case the lease stays expired and the next tick re-runs the
-// round, so a better candidate that then dies too doesn't wedge the fleet.
-func (c *clusterNode) elect() {
+// elect runs one election round: at boot for a member with no recorded
+// lease, and after the lease expired. The round either adopts a live
+// leader, promotes this node (no reachable peer has replicated further),
+// or defers to a better-positioned candidate — in which case the lease
+// stays expired and the next tick re-runs the round, so a better
+// candidate that then dies too doesn't wedge the fleet. It reports
+// whether this node promoted itself.
+func (c *clusterNode) elect() bool {
 	states := c.pollPeers()
 	c.mu.Lock()
 	myEpoch, myLeader := c.epoch, c.leader
 	c.mu.Unlock()
-	cursor := uint64(c.e.met.replCursor.Value())
+	// Every state is checked for a live leader before any peer is deferred
+	// to: a candidate that deferred to a better-replicated follower first
+	// would never adopt the leader that follower mirrors.
 	for _, st := range states {
 		if st.Role == RoleLeader && st.Epoch >= myEpoch {
 			// A live leader claim at our epoch or newer — including the
@@ -335,21 +318,25 @@ func (c *clusterNode) elect() {
 			// its feed, not its life). observeLease adopts it or, for the
 			// incumbent, just resets the lease clock.
 			if st.Self != myLeader {
-				slog.Info("election found promoted peer; adopting", "component", "cluster", "member", c.self, "leader", st.Self, "epoch", st.Epoch)
+				slog.Info("election found a live leader; adopting", "component", "cluster", "member", c.self, "leader", st.Self, "epoch", st.Epoch)
 			}
 			c.observeLease(leaseClaim{Epoch: st.Epoch, Leader: st.Self})
-			return
+			return false
 		}
+	}
+	cursor := uint64(c.e.met.replCursor.Value())
+	for _, st := range states {
 		if st.Epoch > myEpoch {
 			myEpoch = st.Epoch // never claim with a stale epoch
 		}
 		if st.ReplCursor > cursor || (st.ReplCursor == cursor && st.Self > c.self) {
 			slog.Info("deferring election to better-replicated peer", "component", "cluster",
 				"member", c.self, "peer", st.Self, "peer_cursor", st.ReplCursor, "cursor", cursor)
-			return
+			return false
 		}
 	}
 	c.promote(myEpoch + 1)
+	return true
 }
 
 // promote makes this node the leader of epoch: stop mirroring, flip to
@@ -365,7 +352,6 @@ func (c *clusterNode) promote(epoch uint64) {
 	c.mu.Unlock()
 	c.e.met.clusterEpoch.Set(int64(epoch))
 	c.e.met.clusterIsLeader.Set(1)
-	c.e.met.clusterFailovers.Inc()
 	slog.Warn("promoting to leader", "component", "cluster",
 		"member", c.self, "epoch", epoch, "cursor", c.e.met.replCursor.Value())
 	c.appendLease()

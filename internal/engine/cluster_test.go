@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -26,6 +28,9 @@ func newMemberListener(t *testing.T) (net.Listener, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A member that never serves keeps its listener until the test ends,
+	// so no other test can take its URL.
+	t.Cleanup(func() { ln.Close() })
 	return ln, "http://" + ln.Addr().String()
 }
 
@@ -51,21 +56,22 @@ func waitFor(t *testing.T, what string, timeout time.Duration, ok func() bool) {
 	}
 }
 
+const testLease = 400 * time.Millisecond
+
 func clusterOpts(self string, peers []string, dir string) Options {
 	return Options{
-		Workers:            2,
-		JournalDir:         dir,
-		ClusterSelf:        self,
-		ClusterPeers:       peers,
-		LeaseDuration:      400 * time.Millisecond,
-		HeartbeatInterval:  80 * time.Millisecond,
-		FollowPollInterval: 20 * time.Millisecond,
+		Workers:       2,
+		JournalDir:    dir,
+		ClusterSelf:   self,
+		ClusterPeers:  peers,
+		LeaseDuration: testLease,
 	}
 }
 
-// TestClusterFailover is the engine-level failover check: kill the leader,
-// assert the follower promotes itself via the journal lease within the
-// lease window, bumps the epoch, and serves the leader's results
+// TestClusterFailover is the engine-level failover check: the first member
+// up leads and the second adopts it at boot; kill the leader, assert the
+// follower promotes itself via the journal lease within the lease window,
+// bumps the epoch, counts one failover, and serves the leader's results
 // bit-identically from its mirrored cache.
 func TestClusterFailover(t *testing.T) {
 	lnA, urlA := newMemberListener(t)
@@ -79,9 +85,7 @@ func TestClusterFailover(t *testing.T) {
 	defer a.srv.Close()
 
 	b := &member{url: urlB, ln: lnB}
-	opts := clusterOpts(urlB, []string{urlA}, dirB)
-	opts.FollowPeer = urlA
-	b.eng = New(opts)
+	b.eng = New(clusterOpts(urlB, []string{urlA}, dirB))
 	defer b.eng.Close()
 	b.serve()
 	defer b.srv.Close()
@@ -117,6 +121,9 @@ func TestClusterFailover(t *testing.T) {
 	if st.Leader != urlB {
 		t.Fatalf("promoted member reports leader %q, want itself", st.Leader)
 	}
+	if n := b.eng.met.clusterFailovers.Value(); n != 1 {
+		t.Fatalf("promoted member counts %d failovers, want 1", n)
+	}
 
 	// Every result acknowledged by the dead leader is served by the new
 	// one, bit-identical, from the mirrored cache.
@@ -145,26 +152,40 @@ func TestClusterFailover(t *testing.T) {
 }
 
 // TestClusterDemotionResolvesSplitBrain: two members that both boot
-// believing they lead (epoch 1) must converge to one leader — the greater
-// URL wins the tie, the other demotes and mirrors it.
+// believing they lead epoch 1 must converge to one leader — the greater URL
+// wins the tie, the other demotes and mirrors it. Fresh members elect
+// before they serve, so the split brain comes from recovered leases: each
+// member first boots alone, leads epoch 1 and records it, and both restart
+// on those journals together.
 func TestClusterDemotionResolvesSplitBrain(t *testing.T) {
 	lnA, urlA := newMemberListener(t)
 	lnB, urlB := newMemberListener(t)
+	dirA, dirB := t.TempDir(), t.TempDir()
 	winner, loser := urlA, urlB
 	if urlB > urlA {
 		winner, loser = urlB, urlA
 	}
+	for _, m := range []struct{ self, peer, dir string }{{urlA, urlB, dirA}, {urlB, urlA, dirB}} {
+		e := New(clusterOpts(m.self, []string{m.peer}, m.dir))
+		if st := e.ClusterState(); st.Role != RoleLeader || st.Epoch != 1 {
+			t.Fatalf("%s booting alone is %s at epoch %d, want leader at epoch 1", m.self, st.Role, st.Epoch)
+		}
+		e.Close()
+	}
 
 	a := &member{url: urlA, ln: lnA}
-	a.eng = New(clusterOpts(urlA, []string{urlB}, t.TempDir()))
+	a.eng = New(clusterOpts(urlA, []string{urlB}, dirA))
 	defer a.eng.Close()
 	a.serve()
 	defer a.srv.Close()
 	b := &member{url: urlB, ln: lnB}
-	b.eng = New(clusterOpts(urlB, []string{urlA}, t.TempDir()))
+	b.eng = New(clusterOpts(urlB, []string{urlA}, dirB))
 	defer b.eng.Close()
 	b.serve()
 	defer b.srv.Close()
+	if sa, sb := a.eng.ClusterState(), b.eng.ClusterState(); sa.Role != RoleLeader || sb.Role != RoleLeader {
+		t.Fatalf("restarted members are %s and %s, want both leading their recovered epoch", sa.Role, sb.Role)
+	}
 
 	engOf := map[string]*Engine{urlA: a.eng, urlB: b.eng}
 	waitFor(t, "split brain to resolve", 10*time.Second, func() bool {
@@ -179,6 +200,123 @@ func TestClusterDemotionResolvesSplitBrain(t *testing.T) {
 	waitFor(t, "demoted member to mirror the winner", 10*time.Second, func() bool {
 		return engOf[loser].Stats().Replicated >= 1
 	})
+}
+
+// TestFreshMemberFollowsLiveLeader: a member that joins with an empty
+// journal elects before it serves, so it adopts the live leader — even
+// with the greater URL, whose epoch-1 claim would depose it — and the
+// leader keeps epoch 1. Neither boot counts as a failover.
+func TestFreshMemberFollowsLiveLeader(t *testing.T) {
+	lnA, urlA := newMemberListener(t)
+	lnB, urlB := newMemberListener(t)
+	if urlA > urlB {
+		lnA, urlA, lnB, urlB = lnB, urlB, lnA, urlA
+	}
+	a := &member{url: urlA, ln: lnA}
+	a.eng = New(clusterOpts(urlA, []string{urlB}, t.TempDir()))
+	defer a.eng.Close()
+	a.serve()
+	defer a.srv.Close()
+	if st := a.eng.ClusterState(); st.Role != RoleLeader || st.Epoch != 1 {
+		t.Fatalf("A booted as %s at epoch %d, want leader at epoch 1", st.Role, st.Epoch)
+	}
+
+	b := &member{url: urlB, ln: lnB}
+	b.eng = New(clusterOpts(urlB, []string{urlA}, t.TempDir()))
+	defer b.eng.Close()
+	b.serve()
+	defer b.srv.Close()
+	for end := time.Now().Add(3 * testLease); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		sa, sb := a.eng.ClusterState(), b.eng.ClusterState()
+		if sa.Role != RoleLeader || sa.Epoch != 1 {
+			t.Fatalf("A is %s at epoch %d after B joined, want leader at epoch 1", sa.Role, sa.Epoch)
+		}
+		if sb.Role != RoleFollower || sb.Leader != urlA || sb.Epoch != 1 {
+			t.Fatalf("joiner is %s of %q at epoch %d, want follower of A at epoch 1", sb.Role, sb.Leader, sb.Epoch)
+		}
+	}
+	for _, e := range []*Engine{a.eng, b.eng} {
+		if n := e.met.clusterFailovers.Value(); n != 0 {
+			t.Fatalf("%s counts %d failovers after a boot, want 0", e.opt.ClusterSelf, n)
+		}
+	}
+}
+
+// TestFreshMembersBootInTurn boots three fresh members one after another
+// while sampling every started member's ClusterState: no epoch may ever
+// have two leaders, and the fleet settles on the first member at epoch 1.
+func TestFreshMembersBootInTurn(t *testing.T) {
+	lns := make([]net.Listener, 3)
+	urls := make([]string, 3)
+	for i := range lns {
+		lns[i], urls[i] = newMemberListener(t)
+	}
+	var (
+		mu      sync.Mutex
+		started []*Engine
+		leaders = map[uint64]string{} // epoch -> the member seen leading it
+		clash   string
+	)
+	sample := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range started {
+			st := e.ClusterState()
+			if st.Role != RoleLeader {
+				continue
+			}
+			if prev, ok := leaders[st.Epoch]; ok && prev != st.Self && clash == "" {
+				clash = fmt.Sprintf("epoch %d led by both %s and %s", st.Epoch, prev, st.Self)
+			}
+			leaders[st.Epoch] = st.Self
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+				sample()
+			}
+		}
+	}()
+	var once sync.Once
+	stopSampling := func() { once.Do(func() { close(stop); <-done }) }
+	defer stopSampling()
+
+	for i, self := range urls {
+		var peers []string
+		for j, u := range urls {
+			if j != i {
+				peers = append(peers, u)
+			}
+		}
+		m := &member{url: self, ln: lns[i]}
+		m.eng = New(clusterOpts(self, peers, t.TempDir()))
+		m.serve()
+		t.Cleanup(func() { m.srv.Close(); m.eng.Close() })
+		mu.Lock()
+		started = append(started, m.eng)
+		mu.Unlock()
+	}
+	time.Sleep(3 * testLease)
+	stopSampling()
+	sample()
+
+	if clash != "" {
+		t.Fatal(clash)
+	}
+	if len(leaders) != 1 || leaders[1] != urls[0] {
+		t.Fatalf("leaders by epoch = %v, want only the first member at epoch 1", leaders)
+	}
+	for i, e := range started {
+		if st := e.ClusterState(); i > 0 && (st.Role != RoleFollower || st.Leader != urls[0] || st.Epoch != 1) {
+			t.Fatalf("member %d is %s of %q at epoch %d, want follower of the first member at epoch 1", i, st.Role, st.Leader, st.Epoch)
+		}
+	}
 }
 
 func TestClusterStateAndReadyzEndpoints(t *testing.T) {

@@ -72,34 +72,24 @@ type Options struct {
 	// JournalMaxRecords keeps only the newest this-many live journal
 	// records at compaction; zero keeps all.
 	JournalMaxRecords int
-	// FollowPeer, when non-empty, runs this engine as a follower of the
-	// peer xbarserver at this base URL: the peer's journal is pulled over
-	// GET /v1/journal/tail and replayed into the local cache (and local
-	// journal), so this instance warm-starts from the peer and
-	// continuously mirrors its results.
-	FollowPeer string
-	// FollowPollInterval paces follower retries when the peer is down (the
-	// base of the pull loop's capped exponential backoff); zero means
-	// DefaultFollowPollInterval.
-	FollowPollInterval time.Duration
 	// ClusterSelf, when non-empty, runs this engine as a member of a
 	// self-healing cluster, advertised to peers at this base URL. Members
-	// elect a leader through lease records in the journal: followers mirror
-	// the leader's journal exactly as with FollowPeer, but when the
-	// leader's lease expires the follower with the highest replicated
-	// cursor promotes itself and the rest of the fleet re-aims at it.
-	// Cluster mode wants JournalDir set — the journal is both the ballot
-	// box and the replication feed.
+	// elect a leader through lease records in the journal and followers
+	// mirror the leader's journal into their cache (and journal); when the
+	// leader's lease expires, the follower with the highest replicated
+	// cursor promotes itself and the rest of the fleet re-aims at it. A
+	// member whose journal holds no lease runs one election inside New,
+	// before it serves: it adopts a live leader, or leads when no reachable
+	// peer does. Cluster mode wants JournalDir set — the journal is both
+	// the ballot box and the replication feed.
 	ClusterSelf string
 	// ClusterPeers lists the other members' base URLs (excluding self).
 	ClusterPeers []string
 	// LeaseDuration is how long a follower tolerates silence from the
-	// leader before starting an election; the leader renews its lease at
-	// half this period. Zero means DefaultLeaseDuration.
+	// leader before starting an election. The election loop ticks at a
+	// third of it, and the leader renews its lease once half of it has
+	// passed since the last renewal. Zero means DefaultLeaseDuration.
 	LeaseDuration time.Duration
-	// HeartbeatInterval paces the election loop (lease renewal, peer state
-	// polls, expiry checks); zero means LeaseDuration/3.
-	HeartbeatInterval time.Duration
 	// ClientRPS enables per-client submission quotas in the HTTP layer:
 	// each X-Client-ID may submit this many batches per second sustained
 	// (burst up to ClientBurst) before getting 429 + Retry-After without
@@ -274,15 +264,12 @@ func New(opt Options) *Engine {
 	if opt.ClusterSelf != "" {
 		e.startCluster()
 	}
-	if e.cache != nil && (opt.FollowPeer != "" || e.clusterFollowing()) {
-		e.startFollower()
-	}
-	if e.cache == nil && (opt.JournalDir != "" || opt.FollowPeer != "") {
+	if e.cache == nil && (opt.JournalDir != "" || opt.ClusterSelf != "") {
 		// Journal and follower state both live in the result cache; with
 		// caching disabled they would be write-only. Say so loudly rather
 		// than let an operator believe results are durable.
-		log.Printf("engine: caching disabled (CacheSize < 0): ignoring JournalDir=%q FollowPeer=%q — results will NOT be durable or mirrored",
-			opt.JournalDir, opt.FollowPeer)
+		log.Printf("engine: caching disabled (CacheSize < 0): ignoring JournalDir=%q and mirroring for ClusterSelf=%q — results will NOT be durable or mirrored",
+			opt.JournalDir, opt.ClusterSelf)
 	}
 	for i := 0; i < opt.Workers; i++ {
 		e.workerWG.Add(1)

@@ -14,17 +14,6 @@ import (
 	"repro/internal/journal"
 )
 
-// DefaultFollowPollInterval is the base of the follower's retry backoff
-// (and its pacing when the peer answers with no new records and
-// long-polling is unavailable); zero Options.FollowPollInterval means this.
-const DefaultFollowPollInterval = time.Second
-
-// followBackoffCap bounds the follower's retry backoff against an
-// unreachable peer: during a failover the loop must notice the new leader
-// within a lease or two, so the backoff never grows past this no matter
-// how long the old leader was down.
-const followBackoffCap = 30 * time.Second
-
 // followWait is the long-poll window the follower asks the leader to hold
 // a tail request open for; convergence latency is one commit, not one
 // poll interval.
@@ -33,15 +22,16 @@ const followWait = 25 * time.Second
 // followBatchLimit caps records pulled per tail request.
 const followBatchLimit = 1024
 
-// startFollower begins continuously mirroring the current leader's journal
+// startFollower begins continuously mirroring the cluster leader's journal
 // into the local result cache (and local journal, when configured). The
 // follower pulls GET /v1/journal/tail from its last applied sequence. A
 // restart re-pulls the peer's history from cursor zero (the peer's
 // sequence numbers are not ours), but records the local journal already
 // restored are recognized in applyWindow and skipped, so the re-pull costs
-// network only — no duplicate fsyncs, no local journal growth.
+// network only — no duplicate fsyncs, no local journal growth. A member
+// without a result cache has nowhere to mirror into and never follows.
 func (e *Engine) startFollower() {
-	if e.followCancel != nil {
+	if e.followCancel != nil || e.cache == nil {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -52,14 +42,13 @@ func (e *Engine) startFollower() {
 
 func (e *Engine) followLoop(ctx context.Context) {
 	defer e.followWG.Done()
-	interval := e.opt.FollowPollInterval
-	if interval <= 0 {
-		interval = DefaultFollowPollInterval
-	}
-	// Pull failures back off exponentially up to followBackoffCap, with
-	// jitter so a fleet of followers orphaned by the same crash doesn't
-	// hammer (and re-synchronize on) the next leader in lockstep.
-	policy := cluster.Backoff{Base: interval, Cap: followBackoffCap}
+	c := e.cluster
+	// Pull failures back off exponentially from one heartbeat up to one
+	// lease, so the loop notices a new leader within a lease of its
+	// election however long the old one was down; the jitter keeps a fleet
+	// of followers orphaned by the same crash from hammering (and
+	// re-synchronizing on) the next leader in lockstep.
+	policy := cluster.Backoff{Base: c.heartbeat, Cap: c.lease}
 	client := &http.Client{Timeout: followWait + 10*time.Second}
 	var cursor uint64
 	// A local journal already holds everything mirrored before the last
@@ -84,15 +73,15 @@ func (e *Engine) followLoop(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if t := e.followTarget(); t != target {
+		if t := c.followTarget(); t != target {
 			if target != "" {
 				slog.Info("follower re-aiming; cursor resets", "component", "follower", "from", target, "to", t)
 			}
 			target, cursor = t, 0
 		}
 		if target == "" {
-			// Clustered and currently leading (or no leader known yet):
-			// nothing to mirror; check again after a pause.
+			// Leading (a promotion racing this loop's stop) or no leader
+			// known yet: nothing to mirror; check again after a pause.
 			backoff()
 			continue
 		}
@@ -103,7 +92,7 @@ func (e *Engine) followLoop(ctx context.Context) {
 			}
 			e.met.replPullErrs.Inc()
 			if !errLogged {
-				slog.Warn("follower pull failed; backing off", "component", "follower", "peer", target, "cursor", cursor, "err", err, "backoff_base", interval, "backoff_cap", followBackoffCap)
+				slog.Warn("follower pull failed; backing off", "component", "follower", "peer", target, "cursor", cursor, "err", err, "backoff_base", policy.Base, "backoff_cap", policy.Cap)
 				errLogged = true
 			}
 			backoff()
@@ -115,9 +104,7 @@ func (e *Engine) followLoop(ctx context.Context) {
 			slog.Info("follower peer reachable again", "component", "follower", "peer", target, "cursor", cursor)
 			errLogged = false
 		}
-		if e.cluster != nil {
-			e.cluster.noteContact()
-		}
+		c.noteContact()
 		if resp.LastSeq < cursor {
 			// The peer's sequence space regressed — its journal was
 			// recreated (lost disk, fresh volume). Without a reset the
@@ -222,9 +209,7 @@ func (e *Engine) applyLease(key []byte, raw json.RawMessage) {
 			slog.Error("follower failed to journal lease record", "component", "follower", "epoch", claim.Epoch, "err", err)
 		}
 	}
-	if e.cluster != nil {
-		e.cluster.observeLease(claim)
-	}
+	e.cluster.observeLease(claim)
 }
 
 // pullTail performs one long-polling tail request against the peer.

@@ -2,10 +2,11 @@ package engine
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // batch64 builds the acceptance batch: 64 distinct map-hba jobs (different
@@ -76,20 +77,24 @@ func TestJournalKillRestart64(t *testing.T) {
 	}
 }
 
-// TestFollowerConverges is the PR's replication acceptance check: a
-// -follow instance converges to the leader's cache and passes the same
-// all-from-cache bit-identical batch check, including after a restart
-// from its own journal.
+// TestFollowerConverges is the replication acceptance check on a
+// two-member cluster: the member that joins second adopts the leader at
+// boot, converges to its cache and passes the same all-from-cache
+// bit-identical batch check, including after a restart from its own
+// journal.
 func TestFollowerConverges(t *testing.T) {
 	specs := batch64()
-	leaderDir, followerDir := t.TempDir(), t.TempDir()
+	lnL, urlL := newMemberListener(t)
+	_, urlF := newMemberListener(t)
+	followerDir := t.TempDir()
 
-	leader := New(Options{Workers: 4, JournalDir: leaderDir})
-	defer leader.Close()
-	srv := httptest.NewServer(NewHTTPHandler(leader))
-	defer srv.Close()
+	leader := &member{url: urlL, ln: lnL}
+	leader.eng = New(clusterOpts(urlL, []string{urlF}, t.TempDir()))
+	defer leader.eng.Close()
+	leader.serve()
+	defer leader.srv.Close()
 
-	first, err := leader.Run(context.Background(), specs)
+	first, err := leader.eng.Run(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +104,7 @@ func TestFollowerConverges(t *testing.T) {
 		}
 	}
 
-	follower := New(Options{
-		Workers:            2,
-		JournalDir:         followerDir,
-		FollowPeer:         srv.URL,
-		FollowPollInterval: 20 * time.Millisecond,
-	})
+	follower := New(clusterOpts(urlF, []string{urlL}, followerDir))
 	// Wait on Replicated: it is bumped after the cache insert, so once it
 	// reaches the batch size the cache provably holds every result.
 	deadline := time.Now().Add(15 * time.Second)
@@ -132,8 +132,8 @@ func TestFollowerConverges(t *testing.T) {
 	}
 	follower.Close()
 
-	// The follower journaled what it mirrored: restarted WITHOUT a peer,
-	// it still answers the batch from its own disk.
+	// The follower journaled what it mirrored: restarted outside the
+	// cluster, it still answers the batch from its own disk.
 	f2 := New(Options{Workers: 2, JournalDir: followerDir})
 	if got := f2.Stats().CacheEntries; got != len(specs) {
 		t.Fatalf("restarted follower restored %d results, want %d", got, len(specs))
@@ -149,23 +149,20 @@ func TestFollowerConverges(t *testing.T) {
 	}
 	f2.Close()
 
-	// Restarted WITH the peer, the follower re-pulls the leader's history
-	// from cursor zero but recognizes every already-restored record: its
-	// local journal must not grow by a second copy of the history. One
-	// genuinely new leader result (seq 65, ordered after the 64 replayed
-	// records) proves the catch-up pull completed.
-	f3 := New(Options{
-		Workers:            2,
-		JournalDir:         followerDir,
-		FollowPeer:         srv.URL,
-		FollowPollInterval: 20 * time.Millisecond,
-	})
+	// Restarted as a member, the follower resumes mirroring the leader its
+	// journal recorded and re-pulls the leader's history from cursor zero,
+	// but recognizes every already-restored record: its local journal must
+	// not gain a second copy of the history. One genuinely new leader
+	// result (seq 65, ordered after the 64 replayed records) proves the
+	// catch-up pull completed. Only job records are counted: a member also
+	// journals the lease records it mirrors.
+	f3 := New(clusterOpts(urlF, []string{urlL}, followerDir))
 	defer f3.Close()
 	extra := fig8Spec(MapHBA)
 	extra.OpenRate = 0.10
 	extra.SpareRows = 2
 	extra.Seed = 99_999
-	if _, err := leader.Run(context.Background(), []JobSpec{extra}); err != nil {
+	if _, err := leader.eng.Run(context.Background(), []JobSpec{extra}); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(15 * time.Second)
@@ -175,27 +172,37 @@ func TestFollowerConverges(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if records, _ := f3.journalStats(); records != len(specs)+1 {
-		t.Fatalf("re-attached follower journal holds %d records, want %d (history must not re-append)",
-			records, len(specs)+1)
+	jobs := 0
+	if err := f3.journal.Replay(0, func(rec journal.Record) error {
+		if !journal.IsMetaKey(rec.Key) {
+			jobs++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if jobs != len(specs)+1 {
+		t.Fatalf("re-attached follower journal holds %d job records, want %d (history must not re-append)",
+			jobs, len(specs)+1)
 	}
 }
 
 // TestFollowerLiveMirroring checks results computed on the leader while
 // the follower is already attached stream across promptly (the long-poll
-// wakes on the leader's next commit, not on a poll interval).
+// wakes on the leader's next commit, not on a poll interval). The follower
+// is a member without a journal: a cache-only mirror.
 func TestFollowerLiveMirroring(t *testing.T) {
-	leader := New(Options{Workers: 2, JournalDir: t.TempDir()})
-	defer leader.Close()
-	srv := httptest.NewServer(NewHTTPHandler(leader))
-	defer srv.Close()
+	lnL, urlL := newMemberListener(t)
+	_, urlF := newMemberListener(t)
+	leader := &member{url: urlL, ln: lnL}
+	leader.eng = New(clusterOpts(urlL, []string{urlF}, t.TempDir()))
+	defer leader.eng.Close()
+	leader.serve()
+	defer leader.srv.Close()
 
-	follower := New(Options{
-		Workers:            1,
-		CacheSize:          256,
-		FollowPeer:         srv.URL, // no local journal: cache-only mirror
-		FollowPollInterval: 20 * time.Millisecond,
-	})
+	opts := clusterOpts(urlF, []string{urlL}, "")
+	opts.Workers, opts.CacheSize = 1, 256
+	follower := New(opts)
 	defer follower.Close()
 
 	for round := 0; round < 3; round++ {
@@ -203,7 +210,7 @@ func TestFollowerLiveMirroring(t *testing.T) {
 		s.OpenRate = 0.10
 		s.SpareRows = 2
 		s.Seed = int64(round)
-		if _, err := leader.Run(context.Background(), []JobSpec{s}); err != nil {
+		if _, err := leader.eng.Run(context.Background(), []JobSpec{s}); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)

@@ -53,13 +53,11 @@ func waitFor(t *testing.T, what string, timeout time.Duration, ok func() bool) {
 
 func clusterEngineOpts(self string, peers []string, dir string) engine.Options {
 	return engine.Options{
-		Workers:            2,
-		JournalDir:         dir,
-		ClusterSelf:        self,
-		ClusterPeers:       peers,
-		LeaseDuration:      400 * time.Millisecond,
-		HeartbeatInterval:  80 * time.Millisecond,
-		FollowPollInterval: 20 * time.Millisecond,
+		Workers:       2,
+		JournalDir:    dir,
+		ClusterSelf:   self,
+		ClusterPeers:  peers,
+		LeaseDuration: 400 * time.Millisecond,
 	}
 }
 
@@ -81,11 +79,10 @@ func TestGatewayLeaderFailover(t *testing.T) {
 	a.serve()
 	defer a.srv.Close()
 
+	// B and C boot after A serves, so each adopts A in its boot election.
 	boot := func(self string, ln net.Listener, peers []string) *clusterMember {
-		opts := clusterEngineOpts(self, peers, t.TempDir())
-		opts.FollowPeer = urlA
 		m := &clusterMember{url: self, ln: ln}
-		m.eng = engine.New(opts)
+		m.eng = engine.New(clusterEngineOpts(self, peers, t.TempDir()))
 		m.serve()
 		return m
 	}
@@ -98,6 +95,11 @@ func TestGatewayLeaderFailover(t *testing.T) {
 
 	if st := a.eng.ClusterState(); st.Role != engine.RoleLeader {
 		t.Fatalf("A boots as %s, want leader", st.Role)
+	}
+	for _, m := range []*clusterMember{b, c} {
+		if st := m.eng.ClusterState(); st.Role != engine.RoleFollower || st.Leader != urlA {
+			t.Fatalf("%s boots as %s of %q, want follower of A", m.url, st.Role, st.Leader)
+		}
 	}
 
 	g := testGateway(t, []string{urlA, urlB, urlC}, func(o *Options) {

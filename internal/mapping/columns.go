@@ -67,9 +67,6 @@ type ColumnOptions struct {
 	Retries int
 	// Seed drives the retry randomization.
 	Seed int64
-	// RowAlgorithm runs the row-mapping phase; nil means HBA (on the
-	// scratch's reusable row storage).
-	RowAlgorithm func(*Problem) Result
 }
 
 // ColumnResult is the outcome of a column-aware mapping attempt.
@@ -106,22 +103,10 @@ type ColumnScratch struct {
 	physOrder, physKey []int
 	logOrder, logKey   []int
 	rng                *rand.Rand
-
-	// viewMap/viewVersion identify the (fabric map, version) colsView was
-	// last built for: while both are unchanged, the transpose is skipped.
-	viewMap     *defect.Map
-	viewVersion uint64
-	// projSrc/projSrcVersion/projVersion and the prev* assignment snapshots
-	// identify what s.projected currently holds: the projection of projSrc
-	// at projSrcVersion under the prev* column assignment, with s.projected
-	// itself at projVersion (guarding against external mutation of the
-	// handed-out Projected map). When all of it still holds, an attempt
-	// re-projects only the columns whose assignment entry changed.
-	// The three prev* snapshots are subslices of the shared prevBuf backing
+	// prevIn, prevWire and prevOut snapshot the assignment s.projected was
+	// last built under within the current call, so a retry re-projects only
+	// the columns perturb moved. They are subslices of one prevBuf backing
 	// (one allocation, resized per spec).
-	projSrc                   *defect.Map
-	projSrcVersion            uint64
-	projVersion               uint64
 	prevIn, prevWire, prevOut []int
 	prevBuf                   []int
 }
@@ -162,7 +147,7 @@ func ColumnAwareScratch(l *xbar.Layout, dm *defect.Map, spec FabricSpec, opt Col
 	}
 
 	s.columnUsage(l)
-	s.refreshColumnView(dm)
+	s.colsView = bitmat.TransposeInto(s.colsView, dm.FunctionalMatrix())
 	s.greedyColumns(l, dm, spec)
 	if s.rng == nil {
 		s.rng = rand.New(lfg.New(opt.Seed))
@@ -171,7 +156,6 @@ func ColumnAwareScratch(l *xbar.Layout, dm *defect.Map, spec FabricSpec, opt Col
 	}
 	if s.projected == nil || s.projected.Rows != dm.Rows || s.projected.Cols != l.Cols {
 		s.projected = defect.NewMap(dm.Rows, l.Cols)
-		s.projSrc = nil // fresh target: the incremental-projection state is void
 	}
 	p := &s.problem
 	p.Layout, p.Defects = l, s.projected
@@ -179,14 +163,9 @@ func ColumnAwareScratch(l *xbar.Layout, dm *defect.Map, spec FabricSpec, opt Col
 	res := ColumnResult{}
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
 		res.Attempts++
-		s.projectAssigned(dm, spec, l)
+		s.projectAssigned(dm, spec, l, attempt > 0)
 		if ok, _ := p.ColumnFeasible(); ok {
-			var rows Result
-			if opt.RowAlgorithm != nil {
-				rows = opt.RowAlgorithm(p)
-			} else {
-				rows = HBAScratch(p, &s.rows)
-			}
+			rows := HBAScratch(p, &s.rows)
 			if rows.Valid {
 				return ColumnResult{
 					Valid:     true,
@@ -224,22 +203,6 @@ func (s *ColumnScratch) columnUsage(l *xbar.Layout) {
 			}
 		}
 	}
-}
-
-// refreshColumnView brings colsView (the word-transposed functional view the
-// greedy penalty scans popcount over) up to date with dm: a reused scratch
-// skips the transpose while dm and its version are unchanged since the last
-// build, and re-transposes the whole map otherwise.
-//
-//xbar:hotpath
-func (s *ColumnScratch) refreshColumnView(dm *defect.Map) {
-	if s.viewMap == dm && s.viewVersion == dm.Version() &&
-		s.colsView != nil && s.colsView.Rows == dm.Cols && s.colsView.Cols == dm.Rows {
-		return
-	}
-	//xbar:allow hotpath-alloc the transpose reuses colsView and allocates only on first use or a size change
-	s.colsView = bitmat.TransposeInto(s.colsView, dm.FunctionalMatrix())
-	s.viewMap, s.viewVersion = dm, dm.Version()
 }
 
 // columnPenalty ranks one physical column for the greedy assignment: pairs
@@ -442,10 +405,7 @@ func projectDefectsInto(dst *defect.Map, dm *defect.Map, spec FabricSpec, l *xba
 }
 
 // projectColumn overwrites destination column k with source column src of
-// the fabric map, cell by cell through Set so the caches and the version of
-// dst stay exact: cells that keep their kind are free (defect.Map.Set
-// returns early), so a projection that changes nothing leaves dst's
-// version, which projectAssigned checks, in place.
+// the fabric map, cell by cell through Set so the caches of dst stay exact.
 //
 //xbar:hotpath
 func projectColumn(dst *defect.Map, k int, dm *defect.Map, src int) {
@@ -454,40 +414,34 @@ func projectColumn(dst *defect.Map, k int, dm *defect.Map, src int) {
 	}
 }
 
-// projectAssigned maintains s.projected as the projection of dm under the
-// current s.assign. When neither dm nor s.projected changed since the last
-// attempt (versions match) and the assignment vectors have their previous
-// lengths, only the destination columns whose assignment entry differs from
-// the recorded snapshot are re-projected — between retry attempts that is
-// the handful of columns perturb touched, not the whole map. Any staleness
-// falls back to the full projection.
+// projectAssigned makes s.projected the projection of dm under the current
+// s.assign. The first attempt of a call projects every column; a retry
+// re-projects only the destination columns whose assignment entry differs
+// from the previous attempt's snapshot — the handful perturb touched. A
+// call's first attempt never trusts what an earlier call left behind, so
+// a caller may mutate either map between calls.
 //
 //xbar:hotpath
-func (s *ColumnScratch) projectAssigned(dm *defect.Map, spec FabricSpec, l *xbar.Layout) {
+func (s *ColumnScratch) projectAssigned(dm *defect.Map, spec FabricSpec, l *xbar.Layout, retry bool) {
 	dst := s.projected
 	a := s.assign
-	incremental := s.projSrc == dm && s.projSrcVersion == dm.Version() &&
-		s.projVersion == dst.Version() &&
-		len(s.prevIn) == len(a.InputPair) &&
-		len(s.prevWire) == len(a.Wire) &&
-		len(s.prevOut) == len(a.OutputPair)
 	srcBase := 2*spec.InputPairs + spec.Wires
 	dstBase := 2*l.NumIn + len(a.Wire)
 	for i, pair := range a.InputPair {
-		if incremental && s.prevIn[i] == pair {
+		if retry && s.prevIn[i] == pair {
 			continue
 		}
 		projectColumn(dst, i, dm, pair)
 		projectColumn(dst, l.NumIn+i, dm, spec.InputPairs+pair)
 	}
 	for w, wire := range a.Wire {
-		if incremental && s.prevWire[w] == wire {
+		if retry && s.prevWire[w] == wire {
 			continue
 		}
 		projectColumn(dst, 2*l.NumIn+w, dm, 2*spec.InputPairs+wire)
 	}
 	for j, pair := range a.OutputPair {
-		if incremental && s.prevOut[j] == pair {
+		if retry && s.prevOut[j] == pair {
 			continue
 		}
 		projectColumn(dst, dstBase+j, dm, srcBase+pair)
@@ -505,5 +459,4 @@ func (s *ColumnScratch) projectAssigned(dm *defect.Map, spec FabricSpec, l *xbar
 	copy(s.prevIn, a.InputPair)
 	copy(s.prevWire, a.Wire)
 	copy(s.prevOut, a.OutputPair)
-	s.projSrc, s.projSrcVersion, s.projVersion = dm, dm.Version(), dst.Version()
 }

@@ -236,7 +236,7 @@ func TestPackedMatcherAgreesWithScalar(t *testing.T) {
 		wantOK, wantCol := referenceColumnFeasible(p)
 		return gotOK == wantOK && gotCol == wantCol
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(217))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,7 +300,7 @@ func TestAlgorithmsMatchPreRefactor(t *testing.T) {
 			check("hba", gotH, wantH, p.Layout.ProductRows()) &&
 			check("ea", Exact(p), referenceExact(p), nil)
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(256))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,7 +341,7 @@ func TestAlgorithmsMatchWithClosedDefects(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(315))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,7 +416,7 @@ func TestCandidateBitsetsMatchPairTests(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(357))}); err != nil {
 		t.Fatal(err)
 	}
 }

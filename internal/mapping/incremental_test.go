@@ -1,11 +1,11 @@
 package mapping
 
-// Warm-vs-cold parity for the consumers of defect.Map's version: a reused
-// ColumnScratch skipping or rebuilding its transposed view and projecting
-// its map incrementally must stay bit-identical to cold rebuilds across
-// arbitrary Set / Regenerate sequences. The cold reference always runs
-// against a clone of the defect map, a distinct map the reused scratch has
-// never seen.
+// Warm-vs-cold parity for a reused ColumnScratch: its transposed view and
+// its projected map, projected in full on a call's first attempt and only
+// where perturb moved a column on its retries, must stay bit-identical to
+// cold rebuilds across arbitrary Set / Regenerate sequences between calls.
+// The cold reference always runs against a clone of the defect map, a
+// distinct map the reused scratch has never seen.
 
 import (
 	"math/rand"
@@ -29,8 +29,7 @@ func cloneMap(m *defect.Map) *defect.Map {
 }
 
 // mutate applies one random step of the kinds the hot loops produce:
-// full-trial Regenerate, sparse manual Sets, or nothing at all (the skip
-// path).
+// full-trial Regenerate, sparse manual Sets, or nothing at all.
 func mutate(t *testing.T, dm *defect.Map, rng *rand.Rand, step int) {
 	t.Helper()
 	switch step % 4 {
@@ -43,21 +42,33 @@ func mutate(t *testing.T, dm *defect.Map, rng *rand.Rand, step int) {
 			dm.Set(rng.Intn(dm.Rows), rng.Intn(dm.Cols), defect.Kind(rng.Intn(3)))
 		}
 	case 3:
-		// No mutation: the next refresh must take the version-skip path.
+		// No mutation: the next call sees the map it saw last.
 	}
 }
 
 // TestIncrementalColumnViewMatchesFull drives a reused ColumnScratch through
-// random mutation sequences on the fabric map and checks its transposed
-// functional view — skipped while the map's version is unchanged, rebuilt
-// otherwise — against a full transpose of the current map.
+// random mutation sequences on the fabric map and checks the transposed
+// functional view each call leaves behind against a full transpose of the
+// current map.
 func TestIncrementalColumnViewMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	dm := defect.NewMap(130, 70)
+	cov, err := randfunc.Generate(randfunc.Params{Inputs: 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := xbar.NewTwoLevel(cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SpecFor(l)
+	spec.InputPairs += 2
+	dm := defect.NewMap(130, spec.Cols())
 	s := NewColumnScratch()
 	for step := 0; step < 60; step++ {
 		mutate(t, dm, rng, step)
-		s.refreshColumnView(dm)
+		if _, err := ColumnAwareScratch(l, dm, spec, ColumnOptions{Seed: int64(step), Retries: 2}, s); err != nil {
+			t.Fatal(err)
+		}
 		want := bitmat.TransposeInto(nil, dm.FunctionalMatrix())
 		for c := 0; c < dm.Cols; c++ {
 			if !bitmat.Equal(s.colsView.Row(c), want.Row(c)) {
@@ -68,9 +79,9 @@ func TestIncrementalColumnViewMatchesFull(t *testing.T) {
 }
 
 // TestColumnAwareIncrementalMatchesFresh runs the full column-aware search
-// on a reused scratch across mutation sequences — exercising the view's
-// version skip and the diff-based projection across retries — against a
-// fresh run on a cloned map each step.
+// on a reused scratch across mutation sequences — exercising the
+// diff-based projection across retries — against a fresh run on a cloned
+// map each step.
 func TestColumnAwareIncrementalMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cov, err := randfunc.Generate(randfunc.Params{Inputs: 4}, rng)

@@ -138,37 +138,6 @@ func (h *Histogram) Count() int64 {
 // Sum reports the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket that holds it, the same estimate Prometheus's
-// histogram_quantile computes. With no observations it reports 0; a
-// quantile landing in the +Inf bucket reports the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var seen int64
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(seen+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if c == 0 {
-				return bound
-			}
-			return lo + (bound-lo)*(rank-float64(seen))/float64(c)
-		}
-		seen += c
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExponentialBuckets returns n bounds starting at start, each factor times
 // the previous — the usual latency bucket shape.
 func ExponentialBuckets(start, factor float64, n int) []float64 {

@@ -88,34 +88,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("h", "", []float64{10, 20, 40})
-	if h.Quantile(0.99) != 0 {
-		t.Errorf("empty quantile = %v, want 0", h.Quantile(0.99))
-	}
-	// 100 observations uniform in (0,10]: p50 interpolates to ~5 within
-	// the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if got := h.Quantile(0.5); got != 5 {
-		t.Errorf("p50 = %v, want 5", got)
-	}
-	// Push 100 more into (10,20]; p99 now lands in the second bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(15)
-	}
-	if got := h.Quantile(0.99); got <= 10 || got > 20 {
-		t.Errorf("p99 = %v, want within (10,20]", got)
-	}
-	// A quantile past every finite bound reports the last finite bound.
-	h.Observe(1000)
-	if got := h.Quantile(1); got != 40 {
-		t.Errorf("p100 = %v, want 40 (last finite bound)", got)
-	}
-}
-
 // TestConcurrentScrape hammers every instrument kind from parallel
 // goroutines while scraping; run under -race this is the data-race proof
 // for the lock-free update paths.

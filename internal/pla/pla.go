@@ -125,11 +125,6 @@ func directiveInt(fields []string, lineNo int) (int, error) {
 	return v, nil
 }
 
-// ParseString parses a PLA held in a string.
-func ParseString(s string) (*File, error) {
-	return Parse(strings.NewReader(s))
-}
-
 // Write emits the PLA in espresso format.
 func (f *File) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)

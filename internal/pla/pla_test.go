@@ -20,7 +20,7 @@ const sample = `# con1 style example
 `
 
 func TestParseBasics(t *testing.T) {
-	f, err := ParseString(sample)
+	f, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestParseBasics(t *testing.T) {
 }
 
 func TestParseEvaluates(t *testing.T) {
-	f, err := ParseString(sample)
+	f, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestParseEvaluates(t *testing.T) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	f, err := ParseString(sample)
+	f, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := f.String()
-	g, err := ParseString(text)
+	g, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, text)
 	}
@@ -83,15 +83,15 @@ func TestParseErrors(t *testing.T) {
 		".i 2\n",                         // missing .o entirely? (.o undeclared)
 	}
 	for _, s := range bad {
-		if _, err := ParseString(s); err == nil {
-			t.Errorf("ParseString(%q) should fail", s)
+		if _, err := Parse(strings.NewReader(s)); err == nil {
+			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
 }
 
 func TestParseCommentsAndBlankLines(t *testing.T) {
 	s := ".i 2\n.o 1\n\n# full comment\n10 1 # trailing comment\n.e\n"
-	f, err := ParseString(s)
+	f, err := Parse(strings.NewReader(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestParseCommentsAndBlankLines(t *testing.T) {
 }
 
 func TestParseEmptyCover(t *testing.T) {
-	f, err := ParseString(".i 4\n.o 2\n.e\n")
+	f, err := Parse(strings.NewReader(".i 4\n.o 2\n.e\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestParseEmptyCover(t *testing.T) {
 }
 
 func TestParseSingleOutputShorthandRejectedForMulti(t *testing.T) {
-	if _, err := ParseString(".i 2\n.o 2\n10\n.e\n"); err == nil {
+	if _, err := Parse(strings.NewReader(".i 2\n.o 2\n10\n.e\n")); err == nil {
 		t.Error("missing output part with .o 2 should fail")
 	}
 }
 
 func TestParseTypeDirective(t *testing.T) {
-	f, err := ParseString(".i 1\n.o 1\n.type fr\n1 1\n.e\n")
+	f, err := Parse(strings.NewReader(".i 1\n.o 1\n.type fr\n1 1\n.e\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestParseTypeDirective(t *testing.T) {
 }
 
 func TestParseStopsAtEnd(t *testing.T) {
-	f, err := ParseString(".i 2\n.o 1\n10 1\n.e\n11 1\n")
+	f, err := Parse(strings.NewReader(".i 2\n.o 1\n10 1\n.e\n11 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

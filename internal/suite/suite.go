@@ -15,7 +15,6 @@
 package suite
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -324,9 +323,4 @@ func profileSeed(name string) int64 {
 		h = -h
 	}
 	return h
-}
-
-// Describe summarizes a circuit for reports.
-func (c Circuit) Describe() string {
-	return fmt.Sprintf("%s (%s, I=%d O=%d P=%d)", c.Name, c.Kind, c.Inputs, c.Outputs, c.Products)
 }

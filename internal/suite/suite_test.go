@@ -192,10 +192,10 @@ func TestTable1ListedCircuitsBuild(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
+func TestKindString(t *testing.T) {
 	c, _ := ByName("rd53")
-	if c.Describe() == "" || c.Kind.String() != "exact" || Profile.String() != "profile" {
-		t.Error("Describe/String broken")
+	if c.Kind.String() != "exact" || Profile.String() != "profile" {
+		t.Error("Kind.String broken")
 	}
 }
 

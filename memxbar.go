@@ -412,24 +412,20 @@ type EngineOptions struct {
 	// JournalMaxRecords keeps only the newest this-many live journal
 	// records at compaction; zero keeps all.
 	JournalMaxRecords int
-	// FollowPeer runs this engine as a follower of the xbarserver at this
-	// base URL: the peer's journal is continuously mirrored into the
-	// local cache (and local journal), warm-starting this instance from
-	// the peer's results.
-	FollowPeer string
 	// ClusterSelf, with ClusterPeers, joins this engine to lease-based
 	// leader election: the member named here participates as itself
 	// (requires JournalDir — the lease lives in the journal). Followers
 	// mirror the leader automatically; on lease expiry the follower with
-	// the highest replicated sequence promotes itself.
+	// the highest replicated sequence promotes itself. Replication runs
+	// only between members. A member whose journal holds no lease runs
+	// one election inside NewEngine: it adopts a live leader, or leads
+	// when no reachable peer does.
 	ClusterSelf string
 	// ClusterPeers are the other members' base URLs.
 	ClusterPeers []string
 	// LeaseDuration is the leader lease; followers elect after this long
 	// without leader contact. Zero means the default (3s).
 	LeaseDuration time.Duration
-	// HeartbeatInterval paces cluster peer polls; zero means LeaseDuration/3.
-	HeartbeatInterval time.Duration
 	// ClientRPS enables per-client submission quotas in Handler: each
 	// X-Client-ID may submit this many batches per second sustained
 	// (burst up to ClientBurst) before 429 + Retry-After. Zero disables.
@@ -456,11 +452,9 @@ func NewEngine(opt EngineOptions) *Engine {
 		JournalCompactInterval: opt.JournalCompactInterval,
 		JournalMaxAge:          opt.JournalMaxAge,
 		JournalMaxRecords:      opt.JournalMaxRecords,
-		FollowPeer:             opt.FollowPeer,
 		ClusterSelf:            opt.ClusterSelf,
 		ClusterPeers:           opt.ClusterPeers,
 		LeaseDuration:          opt.LeaseDuration,
-		HeartbeatInterval:      opt.HeartbeatInterval,
 		DefaultTimeout:         opt.DefaultTimeout,
 		MaxQueuedJobs:          opt.MaxQueuedJobs,
 		MaxBatches:             opt.MaxBatches,

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # cluster-smoke: boot a 3-member xbarserver cluster behind xbargateway,
 # drive load through the gateway, SIGKILL the leader mid-run, and assert
+#   - the members booted in turn agree on the first one as the leader of
+#     epoch 1, and exactly one of them leads,
 #   - the submission error rate stays under the gate (the gateway retries
 #     and reroutes around the dead member),
 #   - a follower promotes itself within the promotion budget,
@@ -38,23 +40,41 @@ wait_ready() { # url name
   return 1
 }
 
-start_member() { # addr self dir follow
-  local follow_args=()
-  [ -n "$4" ] && follow_args=(-follow "$4")
+start_member() { # addr self dir peers
   "$BIN/xbarserver" -addr "$1" -journal-dir "$3" \
-    -cluster-self "$2" -cluster-peers "$5" -lease "$LEASE" \
-    "${follow_args[@]}" -follow-interval 100ms &
+    -cluster-self "$2" -cluster-peers "$4" -lease "$LEASE" &
   pids+=($!)
 }
 
-echo "== starting 1 leader + 2 followers + gateway"
-start_member :8081 "$A" "$WORK/a" ""   "$B,$C"
+# Each member elects before it serves: A, up first, leads epoch 1, and B
+# and C adopt it.
+echo "== starting 3 members in turn + gateway"
+start_member :8081 "$A" "$WORK/a" "$B,$C"
 LEADER_PID=${pids[-1]}
-wait_ready "$A" leader
-start_member :8082 "$B" "$WORK/b" "$A" "$A,$C"
-start_member :8083 "$C" "$WORK/c" "$A" "$A,$B"
-wait_ready "$B" follower-b
-wait_ready "$C" follower-c
+wait_ready "$A" member-a
+start_member :8082 "$B" "$WORK/b" "$A,$C"
+wait_ready "$B" member-b
+start_member :8083 "$C" "$WORK/c" "$A,$B"
+wait_ready "$C" member-c
+
+leaders=0
+for m in "$A" "$B" "$C"; do
+  state=$(curl -sf "$m/v1/cluster/state")
+  leader=$(printf '%s' "$state" | grep -o '"leader":"[^"]*"' | cut -d'"' -f4)
+  epoch=$(printf '%s' "$state" | grep -o '"epoch":[0-9]*' | cut -d: -f2)
+  if [ "$leader" != "$A" ] || [ "$epoch" != 1 ]; then
+    echo "$m names leader $leader at epoch $epoch, want $A at epoch 1: $state" >&2
+    exit 1
+  fi
+  if printf '%s' "$state" | grep -q '"role":"leader"'; then
+    leaders=$((leaders + 1))
+  fi
+done
+if [ "$leaders" -ne 1 ]; then
+  echo "$leaders members report role leader, want exactly 1" >&2
+  exit 1
+fi
+echo "== all members name $A leader of epoch 1; one leader"
 
 "$BIN/xbargateway" -addr :8090 -members "$A,$B,$C" \
   -probe-interval 200ms -fail-threshold 2 -retry-budget 10s &
