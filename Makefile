@@ -3,7 +3,7 @@ GO ?= go
 # bench-json writes; bump it once per PR. The bench-diff and bench-best gates
 # write the untracked BENCH_OUT instead, so running them never overwrites a
 # committed snapshot.
-BENCH_TAG ?= pr13
+BENCH_TAG ?= pr24
 BENCH_OUT ?= bench-out.json
 BENCHTIME ?= 0.5s
 # bench-diff compares against the previous PR's committed snapshot.
@@ -35,13 +35,14 @@ lint: vet xbarvet
 	fi
 
 # fuzz-smoke gives the parser and kernel fuzz targets a short budget; CI
-# runs the same legs so every PR fuzzes the frame decoder and both match
-# kernels.
+# runs the same legs so every PR fuzzes the frame decoder, both match
+# kernels and the defect sampler's draw-and-compare kernel.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseFrame -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzMatchRowAgainst -fuzztime=$(FUZZTIME) ./internal/bitmat
 	$(GO) test -run='^$$' -fuzz=FuzzFirstSubset -fuzztime=$(FUZZTIME) ./internal/bitmat
+	$(GO) test -run='^$$' -fuzz=FuzzBelow -fuzztime=$(FUZZTIME) ./internal/lfg
 
 test:
 	$(GO) test -race ./...

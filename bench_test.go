@@ -291,6 +291,23 @@ func BenchmarkRegenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkRegenerateClosed is BenchmarkRegenerate with stuck-closed
+// defects too (POpen 0.10, PClosed 0.01), so every cell is compared with
+// two thresholds and the closed-line caches fill. 0 allocs/op.
+func BenchmarkRegenerateClosed(b *testing.B) {
+	l := alu4Layout(b)
+	dm := defect.NewMap(l.Rows, l.Cols)
+	params := defect.Params{POpen: 0.10, PClosed: 0.01}
+	src := lfg.New(2018)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dm.Regenerate(params, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMonteCarloSample times one Monte Carlo sample as the harness
 // runs it for a monte-carlo-yield job: montecarlo.Run reseeds the source,
 // and the job's trial regenerates the fabric and maps it with HBA. The

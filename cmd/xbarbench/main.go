@@ -39,7 +39,7 @@ import (
 // zero-alloc loop contracts, and the per-circuit mapping benches. Override
 // with -bench '.' for everything.
 const defaultBench = "BenchmarkRowMatch$|BenchmarkBatchRowMatch|BenchmarkMatchRowKernel|" +
-	"BenchmarkTranspose|BenchmarkYield200|BenchmarkRegenerate$|BenchmarkMonteCarloSample$|BenchmarkMonteCarloSampleWide|" +
+	"BenchmarkTranspose|BenchmarkYield200|BenchmarkRegenerate$|BenchmarkRegenerateClosed|BenchmarkMonteCarloSample$|BenchmarkMonteCarloSampleWide|" +
 	"BenchmarkHBAMap|BenchmarkColumnAware$|" +
 	"BenchmarkColumnAwareScratch|BenchmarkTable2HBA|BenchmarkTable2EA|" +
 	"BenchmarkMunkres|BenchmarkBipartiteMatch|BenchmarkDefectGenerate|BenchmarkFig8Example|" +

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/bitmat"
+	"repro/internal/lfg"
 )
 
 // Kind is the defect state of one crosspoint.
@@ -60,11 +61,9 @@ type Map struct {
 	closedRowMask bitmat.Row
 	closedColMask bitmat.Row
 
-	// draws holds one row of the random stream while Regenerate samples it,
-	// and cut the thresholds of the last Params it sampled with (the zero
-	// cut is Params{}'s).
-	draws []int64
-	cut   cut
+	// cut holds the thresholds of the last Params Regenerate sampled with
+	// (the zero cut is Params{}'s).
+	cut cut
 }
 
 // NewMap returns an all-functional defect map.
@@ -84,7 +83,6 @@ func NewMap(rows, cols int) *Map {
 		closedCol:     counts[rows:],
 		closedRowMask: masks[:rw:rw],
 		closedColMask: masks[rw:],
-		draws:         make([]int64, cols),
 	}
 	m.functional.Reshape(rows, cols)
 	m.closed.Reshape(rows, cols)
@@ -116,16 +114,12 @@ func (p Params) validate(src Source) error {
 }
 
 // Source is the random stream a map is sampled from. *lfg.Source, the Monte
-// Carlo harness's stream, also fills a slice per call (Int63s) and is then
-// drawn a row at a time; *rand.Rand is drawn value by value. Both give the
-// same map for the same stream.
+// Carlo harness's stream, is drawn a row per call through its fused
+// draw-and-compare kernel (lfg.Source.Below); any other Source, such as a
+// *rand.Rand, is drawn value by value. Both give the same map for the same
+// stream.
 type Source interface {
 	Int63() int64
-}
-
-// bulkSource is a Source that draws many values per call.
-type bulkSource interface {
-	Int63s(dst []int64)
 }
 
 // Generate samples a defect map with independent uniform per-crosspoint
@@ -143,12 +137,13 @@ func Generate(rows, cols int, p Params, src Source) (*Map, error) {
 // map per worker refilled per trial. Generate is NewMap plus Regenerate.
 //
 // The sampling is the per-cell model u := Float64(); open if u < POpen,
-// closed if u < POpen+PClosed, evaluated word by word: a row's draws come in
-// one call when the source allows, each is compared with the integer
-// thresholds of p (see cut), and the row's words are written whole. It
-// consumes the stream exactly as the per-cell loop does, one Int63 per
-// crosspoint in row-major order plus one for every value Float64 would
-// redraw, so the map is the one that loop builds from the same stream.
+// closed if u < POpen+PClosed, evaluated word by word: each draw is
+// compared with the integer thresholds of p (see cut) as it is drawn, into
+// one word per 64 cells of the draws below each threshold, and the row's
+// words are derived from those two. It consumes the stream exactly as the
+// per-cell loop does, one Int63 per crosspoint in row-major order plus one
+// for every value Float64 would redraw, so the map is the one that loop
+// builds from the same stream.
 //
 //xbar:hotpath
 func (m *Map) Regenerate(p Params, src Source) error {
@@ -159,43 +154,39 @@ func (m *Map) Regenerate(p Params, src Source) error {
 	if m.cut.p != p {
 		m.cut = cutFor(p)
 	}
-	bulk, _ := src.(bulkSource)
+	fast, _ := src.(*lfg.Source)
 	for i := range m.closedCol {
 		m.closedCol[i] = 0
 	}
 	m.closedColMask.Zero()
-	draws := m.draws
+	// ^defective sets the bits past Cols in a row's last word; last clears
+	// them again (the packed-row contract).
+	last := ^uint64(0) >> (uint(-m.Cols) % 64)
 	for r := 0; r < m.Rows; r++ {
-		if bulk != nil {
-			//xbar:allow hotpath-alloc interface call into the source's bulk draw (lfg.Source.Int63s, itself //xbar:hotpath)
-			bulk.Int63s(draws)
-		} else {
-			for i := range draws {
-				//xbar:allow hotpath-alloc interface call to the source's Int63 (*rand.Rand or lfg.Source), which does not allocate
-				draws[i] = src.Int63()
-			}
-		}
+		// The closed row first takes the cells below the open threshold
+		// and the functional row those below the defect threshold.
 		fRow, cRow := m.functional.Row(r), m.closed.Row(r)
+		if fast != nil {
+			fast.Below(cRow, fRow, m.Cols, m.cut.open, m.cut.defect)
+		} else {
+			m.cut.below(cRow, fRow, m.Cols, src)
+		}
 		var rowClosed int32
-		for w := 0; w < len(fRow); {
-			lo := w * 64
-			cells := draws[lo:min(lo+64, len(draws))]
-			f, c, ok := m.cut.pack(cells)
-			if !ok {
-				// A draw Float64 would redraw: drop it, shift the rest of
-				// the row up and pack this word again.
-				redraw(draws[lo:], src)
-				continue
-			}
-			fRow[w], cRow[w] = f, c
+		for w, defective := range fRow {
+			// Open cells are defective too (open <= defect), so the stuck-
+			// closed ones are the defective cells that are not open.
+			c := defective &^ cRow[w]
+			fRow[w], cRow[w] = ^defective, c
 			if c != 0 {
 				m.closedColMask[w] |= c
 				rowClosed += int32(bits.OnesCount64(c))
-				for ; c != 0; c &= c - 1 {
+				for lo := w * 64; c != 0; c &= c - 1 {
 					m.closedCol[lo+bits.TrailingZeros64(c)]++
 				}
 			}
-			w++
+		}
+		if len(fRow) > 0 {
+			fRow[len(fRow)-1] &= last
 		}
 		m.closedRow[r] = rowClosed
 		if rowClosed != 0 {
@@ -207,31 +198,8 @@ func (m *Map) Regenerate(p Params, src Source) error {
 	return nil
 }
 
-// redrawFrom is the smallest Int63 value Float64 draws again: float64(x)
-// rounds up to 2⁶³, and so x/2⁶³ to 1, from 2⁶³−512 on.
-const redrawFrom = 1<<63 - 512
-
-// redraw removes from draws every value Float64 would have redrawn and tops
-// the slice up from src, so it holds the values Float64 would keep, in
-// stream order.
-//
-//xbar:hotpath
-func redraw(draws []int64, src Source) {
-	n := 0
-	for _, x := range draws {
-		if x < redrawFrom {
-			draws[n] = x
-			n++
-		}
-	}
-	for n < len(draws) {
-		//xbar:allow hotpath-alloc interface call to the source's Int63 (*rand.Rand or lfg.Source), which does not allocate
-		if x := src.Int63(); x < redrawFrom {
-			draws[n] = x
-			n++
-		}
-	}
-}
+// redrawFrom is the smallest Int63 value Float64 draws again.
+const redrawFrom = lfg.RedrawFrom
 
 // cut holds the integer form of one Params. Float64 is float64(x)/2⁶³ for
 // x = Int63(), and the conversion is monotone, so u < POpen is x < open and
@@ -266,38 +234,27 @@ func threshold(p float64) int64 {
 	return lo
 }
 
-// pack classifies up to 64 draws into one word of each plane: bit k of f is
-// set when cells[k] >= defect (functional), bit k of c when open <= cells[k]
-// < defect (stuck closed). ok is false when a draw lies in Float64's redraw
-// zone; the words are then meaningless. The loop runs from the last cell
-// down, doubling the words and adding each cell's bit, so cell 0 lands on
-// bit 0 with no variable shift. x < t is the sign bit of x-t, and the redraw
-// test is folded into an OR: x >= redrawFrom exactly when x+512 reaches
-// bit 63.
+// below is lfg.Source.Below for any Source, one Int63 per call: bit k%64 of
+// open[k/64] is set when cell k's draw is below t.open, and of
+// defective[k/64] when it is below t.defect. A draw Float64 would redraw is
+// dropped and the next one takes its place.
 //
 //xbar:hotpath
-func (t cut) pack(cells []int64) (f, c uint64, ok bool) {
-	const top = 1 << 63
-	var defective, open, zone uint64
-	if t.open == t.defect {
-		// No stuck-closed defects: one compare per cell.
-		for k := len(cells) - 1; k >= 0; k-- {
-			x := cells[k]
-			defective = defective<<1 + uint64(x-t.defect)>>63
-			zone |= uint64(x) + (top - redrawFrom)
+func (t cut) below(open, defective []uint64, n int, src Source) {
+	for w := range defective {
+		var o, d uint64
+		for k := range min(n-64*w, 64) {
+			//xbar:allow hotpath-alloc interface call to the source's Int63 (*rand.Rand or a test's script), which does not allocate
+			x := src.Int63()
+			for x >= redrawFrom {
+				//xbar:allow hotpath-alloc interface call to the source's Int63, as above
+				x = src.Int63()
+			}
+			o |= uint64(x-t.open) >> 63 << k
+			d |= uint64(x-t.defect) >> 63 << k
 		}
-		open = defective
-	} else {
-		for k := len(cells) - 1; k >= 0; k-- {
-			x := cells[k]
-			defective = defective<<1 + uint64(x-t.defect)>>63
-			open = open<<1 + uint64(x-t.open)>>63
-			zone |= uint64(x) + (top - redrawFrom)
-		}
+		open[w], defective[w] = o, d
 	}
-	// Open cells are defective too (open <= defect), so the stuck-closed
-	// ones are the defective cells that are not open.
-	return ^defective & (^uint64(0) >> (64 - uint(len(cells)))), defective &^ open, zone < top
 }
 
 // At returns the defect kind at (r, c).

@@ -232,16 +232,6 @@ func (s *scriptedSource) Int63() int64 {
 
 func (s *scriptedSource) Seed(int64) { panic("scriptedSource is not reseedable") }
 
-// scriptedBulk is the same script behind the bulk-draw interface, so
-// Regenerate takes its row-at-a-time path.
-type scriptedBulk struct{ *scriptedSource }
-
-func (s scriptedBulk) Int63s(dst []int64) {
-	for i := range dst {
-		dst[i] = s.Int63()
-	}
-}
-
 func newScript(seed int64, inject map[int][]int64) *scriptedSource {
 	cp := make(map[int][]int64, len(inject))
 	for k, v := range inject {
@@ -253,7 +243,9 @@ func newScript(seed int64, inject map[int][]int64) *scriptedSource {
 // TestRedrawZoneMatchesOracle feeds values Float64 redraws (≥ 2⁶³−512) in
 // the middle of rows, on a row's last cell, at word boundaries and in runs,
 // plus the largest values it keeps: the map and the stream position must
-// match the Float64 oracle driven by rand.New over the same script.
+// match the Float64 oracle driven by rand.New over the same script. The
+// script takes Regenerate's per-value path; lfg's planted-register test
+// covers the same cases on lfg.Source.Below.
 func TestRedrawZoneMatchesOracle(t *testing.T) {
 	zone := []int64{redrawFrom, 1<<63 - 1, redrawFrom + 1, 1<<63 - 100}
 	kept := []int64{redrawFrom - 1, redrawFrom - 512, 0}
@@ -281,22 +273,17 @@ func TestRedrawZoneMatchesOracle(t *testing.T) {
 					inject[k] = append(inject[k], kept[gen.Intn(len(kept))])
 				}
 			}
-			for _, bulk := range []bool{false, true} {
-				seed := int64(cols)
-				var src Source = newScript(seed, inject)
-				if bulk {
-					src = scriptedBulk{src.(*scriptedSource)}
-				}
-				m := NewMap(rows, cols)
-				if err := m.Regenerate(p, src); err != nil {
-					t.Fatal(err)
-				}
-				oracleSrc := newScript(seed, inject)
-				want := oracleGenerate(rows, cols, p, rand.New(oracleSrc))
-				sameMap(t, fmt.Sprintf("cols %d %+v bulk %v", cols, p, bulk), m, want)
-				if got, want := src.Int63(), oracleSrc.Int63(); got != want {
-					t.Fatalf("cols %d %+v bulk %v: stream position drifted", cols, p, bulk)
-				}
+			seed := int64(cols)
+			src := newScript(seed, inject)
+			m := NewMap(rows, cols)
+			if err := m.Regenerate(p, src); err != nil {
+				t.Fatal(err)
+			}
+			oracleSrc := newScript(seed, inject)
+			want := oracleGenerate(rows, cols, p, rand.New(oracleSrc))
+			sameMap(t, fmt.Sprintf("cols %d %+v", cols, p), m, want)
+			if got, want := src.Int63(), oracleSrc.Int63(); got != want {
+				t.Fatalf("cols %d %+v: stream position drifted", cols, p)
 			}
 		}
 	}

@@ -319,6 +319,65 @@ func TestFreshMembersBootInTurn(t *testing.T) {
 	}
 }
 
+// TestPullBackoffGaugeReadsSeconds: at a 1 s lease the follower's pull
+// backoff is a fraction of a second, and the gauge must show it. Stop the
+// leader: while the follower's pulls fail, a scrape reads a backoff in
+// (0, 1]; serve the leader again, and once a pull succeeds it reads 0.
+func TestPullBackoffGaugeReadsSeconds(t *testing.T) {
+	lnA, urlA := newMemberListener(t)
+	lnB, urlB := newMemberListener(t)
+	opts := func(self, peer string) Options {
+		o := clusterOpts(self, []string{peer}, t.TempDir())
+		o.LeaseDuration = time.Second
+		return o
+	}
+	a := &member{url: urlA, ln: lnA}
+	a.eng = New(opts(urlA, urlB))
+	defer a.eng.Close()
+	a.serve()
+	defer func() { a.srv.Close() }() // a.srv is replaced below
+
+	b := &member{url: urlB, ln: lnB}
+	b.eng = New(opts(urlB, urlA))
+	defer b.eng.Close()
+	b.serve()
+	defer b.srv.Close()
+	if st := b.eng.ClusterState(); st.Role != RoleFollower || st.Leader != urlA {
+		t.Fatalf("B started as %s of %q, want follower of A", st.Role, st.Leader)
+	}
+
+	backoff := func() float64 {
+		return metricValue(t, scrapeMetrics(t, urlB), "xbar_replication_pull_backoff_seconds")
+	}
+	if v := backoff(); v != 0 {
+		t.Fatalf("backoff reads %v s while A is healthy, want 0", v)
+	}
+
+	a.kill()
+	var v float64
+	waitFor(t, "a failed pull to back off", 5*time.Second, func() bool {
+		v = backoff()
+		return v > 0
+	})
+	if v > 1 {
+		t.Fatalf("backoff reads %v s, want at most the 1 s lease", v)
+	}
+
+	// Serve A again on its address well before B's lease runs out.
+	ln, err := net.Listen("tcp", lnA.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ln = ln
+	a.serve()
+	waitFor(t, "a successful pull to clear the backoff", 5*time.Second, func() bool {
+		return backoff() == 0
+	})
+	if st := b.eng.ClusterState(); st.Role != RoleFollower || st.Leader != urlA {
+		t.Fatalf("B is %s of %q after A came back, want follower of A", st.Role, st.Leader)
+	}
+}
+
 func TestClusterStateAndReadyzEndpoints(t *testing.T) {
 	e := New(Options{Workers: 1, JournalDir: t.TempDir()})
 	h := NewHTTPHandler(e)

@@ -42,6 +42,9 @@ func (e *Engine) startFollower() {
 
 func (e *Engine) followLoop(ctx context.Context) {
 	defer e.followWG.Done()
+	// A member that stops mirroring (it was promoted) has no pull to back
+	// off.
+	defer e.met.replBackoff.Store(0)
 	c := e.cluster
 	// Pull failures back off exponentially from one heartbeat up to one
 	// lease, so the loop notices a new leader within a lease of its
@@ -63,7 +66,7 @@ func (e *Engine) followLoop(ctx context.Context) {
 	backoff := func() {
 		d := policy.Delay(attempt, nil)
 		attempt++
-		e.met.replBackoff.Set(int64(d / time.Second))
+		e.met.replBackoff.Store(int64(d))
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
@@ -99,7 +102,7 @@ func (e *Engine) followLoop(ctx context.Context) {
 			continue
 		}
 		attempt = 0
-		e.met.replBackoff.Set(0)
+		e.met.replBackoff.Store(0)
 		if errLogged {
 			slog.Info("follower peer reachable again", "component", "follower", "peer", target, "cursor", cursor)
 			errLogged = false

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -41,7 +42,10 @@ type engineMetrics struct {
 	replCursor   *metrics.Gauge
 	replLeader   *metrics.Gauge
 	replLag      *metrics.Gauge
-	replBackoff  *metrics.Gauge
+	// replBackoff is the follower's current pull backoff in nanoseconds.
+	// Backoffs are sub-second at short leases, so the gauge that exports it
+	// reads it in float seconds.
+	replBackoff atomic.Int64
 
 	clusterEpoch     *metrics.Gauge
 	clusterIsLeader  *metrics.Gauge
@@ -111,8 +115,6 @@ func newEngineMetrics() *engineMetrics {
 			"The followed peer's newest committed journal sequence number, as of the last pull."),
 		replLag: reg.NewGauge("xbar_replication_lag",
 			"Records the follower still trails the leader by (leader_seq - cursor)."),
-		replBackoff: reg.NewGauge("xbar_replication_pull_backoff_seconds",
-			"Current retry backoff of the follower's tail pull (0 while the peer is healthy)."),
 		clusterEpoch: reg.NewGauge("xbar_cluster_epoch",
 			"Leadership epoch this member has observed (bumped on every promotion)."),
 		clusterIsLeader: reg.NewGauge("xbar_cluster_is_leader",
@@ -122,6 +124,9 @@ func newEngineMetrics() *engineMetrics {
 		clusterDemotions: reg.NewCounter("xbar_cluster_demotions_total",
 			"Times this member yielded leadership after observing a higher claim."),
 	}
+	reg.NewGaugeFunc("xbar_replication_pull_backoff_seconds",
+		"Current retry backoff of the follower's tail pull (0 while the peer is healthy).",
+		func() float64 { return time.Duration(m.replBackoff.Load()).Seconds() })
 	m.queueWaitByKind = make(map[Kind]*metrics.Histogram, len(knownKinds))
 	m.jobSecsByKind = make(map[Kind]*metrics.Histogram, len(knownKinds))
 	for _, k := range knownKinds {

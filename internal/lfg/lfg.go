@@ -1,7 +1,8 @@
 // Package lfg is the random source of the Monte Carlo harness: math/rand's
 // additive lagged-Fibonacci generator (x[n] = x[n-607] + x[n-273] mod 2⁶⁴),
-// reimplemented so that reseeding and bulk draws are cheap while the stream
-// stays value for value the one rand.NewSource(seed) produces.
+// reimplemented so that reseeding is cheap and a row of defect-map draws is
+// generated and classified in one loop (Below), while the stream stays value
+// for value the one rand.NewSource(seed) produces.
 //
 // Reproducibility contract. A Monte Carlo sample's outcome is a function of
 // its seed alone: montecarlo.Run seeds one Source per batch with
@@ -19,7 +20,10 @@
 // backwards from them and removing the Lehmer seeding part.
 package lfg
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 const (
 	length   = 607        // register length, the long lag
@@ -182,32 +186,104 @@ func (s *Source) Uint64() uint64 {
 //xbar:hotpath
 func (s *Source) Int63() int64 { return int64(s.Uint64() & mask) }
 
-// Int63s fills dst with the next len(dst) Int63 values, in order. It runs
-// the generator in stretches that end where the tap or the feed index wraps
-// (at most 334 draws), so the inner loop carries no wrap branch.
+// RedrawFrom is the smallest Int63 value rand.Float64 draws again:
+// float64(x) rounds up to 2⁶³, and so x/2⁶³ to 1, from 2⁶³−512 on.
+const RedrawFrom = 1<<63 - 512
+
+// Below draws n values as n calls of rand.New(s).Float64 would and marks
+// each against two thresholds in [0, RedrawFrom]: bit k%64 of lo[k/64] is
+// set when the k-th value's Int63 is below tlo, and of hi[k/64] when it is
+// below thi. Like Float64, it skips every Int63 at or above RedrawFrom and
+// takes the next in its place. lo and hi need (n+63)/64 words each and may
+// be one slice; bits past n in the last word are zero. With tlo == thi each
+// value is compared once.
+//
+// It is the inner loop of the defect sampler (defect.Map.Regenerate calls it
+// once per row): each draw is generated, tested and folded into its word in
+// one pass, and nothing is written but the register and the words.
 //
 //xbar:hotpath
-func (s *Source) Int63s(dst []int64) {
-	for len(dst) > 0 {
-		n := min(len(dst), length-s.t, length-s.f)
-		out := dst[:n]
-		fv := s.vec[s.f : s.f+n]
-		tv := s.vec[s.t : s.t+n]
-		fv, tv = fv[:len(out)], tv[:len(out)]
-		// When f < t+n the two windows overlap by the 273-word lag; the
-		// ascending loop then reads words it wrote 273 draws earlier,
-		// exactly as the generator does.
-		for k := range out {
+func (s *Source) Below(lo, hi []uint64, n int, tlo, thi int64) {
+	for w := 0; n > 0; w++ {
+		cells := min(n, 64)
+		if tlo == thi {
+			lo[w] = s.below(cells, tlo)
+			hi[w] = lo[w]
+		} else {
+			lo[w], hi[w] = s.below2(cells, tlo, thi)
+		}
+		n -= cells
+	}
+}
+
+// below returns the word of Below's next cells (1 to 64) values that are
+// below th. Each kept value doubles the word and adds its bit, the sign bit
+// of v-th, so the first value ends at bit cells-1 until the final reversal
+// puts it at bit 0. The draws run in stretches (see stretch) that also end
+// at a value in the redraw zone, which is drawn but not kept, so the inner
+// loop carries no wrap test and one branch that is all but never taken.
+//
+//xbar:hotpath
+func (s *Source) below(cells int, th int64) uint64 {
+	var a uint64
+	for kept := 0; kept < cells; {
+		fv, tv := s.stretch(cells - kept)
+		k := 0
+		for ; k < len(fv); k++ {
 			x := fv[k] + tv[k]
 			fv[k] = x
-			out[k] = int64(x & mask)
+			v := int64(x & mask)
+			if v+(1<<63-RedrawFrom) < 0 { // v >= RedrawFrom
+				break
+			}
+			a = a<<1 + uint64(v-th)>>63
 		}
-		dst = dst[n:]
-		if s.t += n; s.t == length {
-			s.t = 0
+		kept += k
+		s.advance(min(k+1, len(fv)))
+	}
+	return bits.Reverse64(a) >> (64 - cells)
+}
+
+// below2 is below for two thresholds at once.
+//
+//xbar:hotpath
+func (s *Source) below2(cells int, tlo, thi int64) (lo, hi uint64) {
+	for kept := 0; kept < cells; {
+		fv, tv := s.stretch(cells - kept)
+		k := 0
+		for ; k < len(fv); k++ {
+			x := fv[k] + tv[k]
+			fv[k] = x
+			v := int64(x & mask)
+			if v+(1<<63-RedrawFrom) < 0 { // v >= RedrawFrom
+				break
+			}
+			lo = lo<<1 + uint64(v-tlo)>>63
+			hi = hi<<1 + uint64(v-thi)>>63
 		}
-		if s.f += n; s.f == length {
-			s.f = 0
-		}
+		kept += k
+		s.advance(min(k+1, len(fv)))
+	}
+	return bits.Reverse64(lo) >> (64 - cells), bits.Reverse64(hi) >> (64 - cells)
+}
+
+// stretch returns the feed and tap windows of the next draws: at most n, and
+// none past the point where the tap or the feed index wraps.
+//
+//xbar:hotpath
+func (s *Source) stretch(n int) (fv, tv []uint64) {
+	m := min(n, length-s.t, length-s.f)
+	return s.vec[s.f:][:m], s.vec[s.t:][:m]
+}
+
+// advance moves the tap and feed indices past k draws of a stretch.
+//
+//xbar:hotpath
+func (s *Source) advance(k int) {
+	if s.t += k; s.t == length {
+		s.t = 0
+	}
+	if s.f += k; s.f == length {
+		s.f = 0
 	}
 }

@@ -34,19 +34,20 @@ func streamSeeds(n int) []int64 {
 }
 
 // TestStreamMatchesMathRand is the stream contract: for every seed, the
-// Source's Int63, Uint64, Int63s and (through rand.New) Float64 draws equal
-// rand.NewSource(seed)'s, whatever the method mix and Int63s chunking.
+// Source's Int63, Uint64, Below and (through rand.New) Float64 draws equal
+// rand.NewSource(seed)'s, whatever the method mix and Below's row length.
 func TestStreamMatchesMathRand(t *testing.T) {
 	seeds := streamSeeds(1000)
 	chooser := rand.New(rand.NewSource(3))
-	buf := make([]int64, 700)
+	const maxRow = 700
+	lo, hi := make([]uint64, (maxRow+63)/64), make([]uint64, (maxRow+63)/64)
 	src := New(0)
 	for _, seed := range seeds {
 		src.Seed(seed)
 		ours := rand.New(src)
 		ref := rand.New(rand.NewSource(seed))
 		for drawn := 0; drawn < drawsPerSeed; {
-			n := 1 + chooser.Intn(len(buf))
+			n := 1 + chooser.Intn(maxRow)
 			switch method := chooser.Intn(4); method {
 			case 0:
 				for k := 0; k < n; k++ {
@@ -67,10 +68,20 @@ func TestStreamMatchesMathRand(t *testing.T) {
 					}
 				}
 			case 3:
-				src.Int63s(buf[:n])
-				for k, got := range buf[:n] {
-					if want := ref.Int63(); got != want {
-						t.Fatalf("seed %d draw %d: Int63s chunk of %d, element %d: %d, want %d", seed, drawn+k, n, k, got, want)
+				tlo := chooser.Int63n(RedrawFrom + 1)
+				thi := chooser.Int63n(RedrawFrom + 1)
+				src.Below(lo, hi, n, tlo, thi)
+				for k := 0; k < n; k++ {
+					x := ref.Int63()
+					for x >= RedrawFrom {
+						x = ref.Int63()
+					}
+					bit := uint64(1) << (k % 64)
+					if got := lo[k/64]&bit != 0; got != (x < tlo) {
+						t.Fatalf("seed %d draw %d: Below row of %d, cell %d: below tlo %v, value %d", seed, drawn+k, n, k, got, x)
+					}
+					if got := hi[k/64]&bit != 0; got != (x < thi) {
+						t.Fatalf("seed %d draw %d: Below row of %d, cell %d: below thi %v, value %d", seed, drawn+k, n, k, got, x)
 					}
 				}
 			}
@@ -103,17 +114,17 @@ func TestRandWrapperMatches(t *testing.T) {
 	}
 }
 
-// TestSeedAllocatesNothing pins the harness contract: reseeding and bulk
-// draws reuse the Source's register.
+// TestSeedAllocatesNothing pins the harness contract: reseeding and a
+// row of draws reuse the Source's register.
 func TestSeedAllocatesNothing(t *testing.T) {
 	src := New(1)
-	buf := make([]int64, 1000)
+	lo, hi := make([]uint64, 16), make([]uint64, 16)
 	allocs := testing.AllocsPerRun(20, func() {
 		src.Seed(42)
-		src.Int63s(buf)
+		src.Below(lo, hi, 1000, 1<<62, 1<<62+1<<60)
 	})
 	if allocs != 0 {
-		t.Fatalf("Seed+Int63s allocate %v times, want 0", allocs)
+		t.Fatalf("Seed+Below allocate %v times, want 0", allocs)
 	}
 }
 
@@ -131,14 +142,16 @@ func BenchmarkMathRandSeed(b *testing.B) {
 	}
 }
 
-// BenchmarkInt63s draws one alu4 fabric row by row (44 columns).
-func BenchmarkInt63s(b *testing.B) {
+// BenchmarkBelow draws and classifies one alu4 fabric row by row (583
+// rows of 44 columns) at the paper's 10 % rate, one threshold per cell.
+func BenchmarkBelow(b *testing.B) {
 	src := New(1)
-	row := make([]int64, 44)
-	b.SetBytes(0)
+	row := make([]uint64, 1)
+	th := threshold(0.10)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < 583; r++ {
-			src.Int63s(row)
+			src.Below(row, row, 44, th, th)
 		}
 	}
 }
