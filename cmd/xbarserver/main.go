@@ -17,9 +17,11 @@
 //	GET  /v1/batches/{id}/events stream the batch's results as Server-Sent
 //	                             Events (one "result" event per job, then
 //	                             "done")
-//	GET  /v1/journal/tail        follower-replication feed: committed
+//	GET  /v1/journal/records     follower-replication feed: committed
 //	                             journal records past ?after=N (long-polls
-//	                             with ?wait=25s); requires -journal-dir
+//	                             with ?wait=25s), each shipped verbatim as
+//	                             {"seq","key","value"} with the value in
+//	                             base64; requires -journal-dir
 //	GET  /v1/cluster/state       this member's election view: role, epoch,
 //	                             leader, replication cursor, lease age
 //	GET  /healthz                liveness plus engine counters (always 200

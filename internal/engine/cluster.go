@@ -21,8 +21,9 @@ const DefaultLeaseDuration = 3 * time.Second
 const (
 	RoleLeader   = "leader"
 	RoleFollower = "follower"
-	// RoleSingle is a member running without cluster options: it is its own
-	// source of truth, but does not participate in elections.
+	// RoleSingle is an engine outside any cluster — no cluster options, or
+	// no open journal to be a member with: it is its own source of truth,
+	// but does not participate in elections.
 	RoleSingle = "single"
 )
 
@@ -73,10 +74,12 @@ type leaseClaim struct {
 //
 //   - The journal is the ballot box: leadership is asserted by appending a
 //     lease meta-record, which replicates to followers through the ordinary
-//     tail feed. The journal's directory flock means at most one process
-//     can assert through a given journal, and the hash chain makes a forged
-//     or diverged history detectable at replication time.
-//   - The follower's tail pull doubles as the failure detector: every
+//     records feed. Every member has an open journal, and its directory
+//     flock means at most one process can assert through it. The hash chain
+//     guards each journal against torn or altered segments at recovery
+//     only: nothing yet compares two members' histories (ROADMAP item 7,
+//     the replication digest).
+//   - The follower's feed pull doubles as the failure detector: every
 //     successful pull (the leader answers, even empty) is proof of life.
 //     The election loop ticks every LeaseDuration/3, and the leader renews
 //     its lease on the first tick at least half a lease after the last
@@ -87,10 +90,13 @@ type leaseClaim struct {
 //     member polls its peers' /v1/cluster/state: if a peer leads (same or
 //     newer epoch), it adopts that leader; otherwise, if no reachable peer
 //     has replicated further (ReplCursor, ties broken by the greater URL),
-//     it promotes itself — stops following, bumps the epoch, appends a
-//     lease record, and becomes the replication source. A deposed leader
-//     that comes back observes the higher epoch on its next peer poll (or
-//     in a replicated lease record) and demotes itself back to mirroring.
+//     it promotes itself — bumps the epoch, appends a lease record, and
+//     becomes the replication source. A deposed leader that comes back
+//     observes the higher epoch on its next peer poll (or in a replicated
+//     lease record) and demotes itself back to mirroring.
+//
+// The mirror loop runs for the member's whole lifetime beside the election
+// loop and pulls only while the member follows.
 type clusterNode struct {
 	e         *Engine
 	self      string
@@ -105,13 +111,16 @@ type clusterNode struct {
 	isLeader    bool
 	lastContact time.Time // leader: last renewal; follower: last proof of leader life
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// leaseMu orders lease records in the journal (journalLease).
+	leaseMu sync.Mutex
+
+	cancel context.CancelFunc // stops the election and mirror loops
+	wg     sync.WaitGroup
 }
 
-// startCluster wires the cluster node from Options (ClusterSelf is set) and
-// any leadership state recovered from the journal replay, then starts the
-// election loop and, unless this member leads, the mirror loop.
+// startCluster wires the cluster node from Options (ClusterSelf is set and
+// the journal is open) and any leadership state recovered from the journal
+// replay, then starts the election and mirror loops.
 func (e *Engine) startCluster() {
 	lease := e.opt.LeaseDuration
 	if lease <= 0 {
@@ -125,7 +134,6 @@ func (e *Engine) startCluster() {
 		heartbeat:   lease / 3,
 		client:      &http.Client{Timeout: lease / 3},
 		lastContact: time.Now(),
-		stop:        make(chan struct{}),
 	}
 	sort.Strings(c.peers)
 	e.cluster = c
@@ -153,24 +161,25 @@ func (e *Engine) startCluster() {
 		// A fresh member is a follower that knows no leader, and it leads
 		// only by winning an election. One round before it serves adopts a
 		// live leader or, when no reachable peer leads or has replicated
-		// further, promotes it: the first member up leads epoch 1.
-		c.elect()
+		// further, promotes it: the first member up leads epoch 1. A boot
+		// promotion is not a failover.
+		c.elect(false)
 	}
 	// Nothing else runs on c until the mirror and election loops start.
 	slog.Info("cluster member starting", "component", "cluster",
 		"member", c.self, "role", c.role(), "epoch", c.epoch, "leader", c.leader, "lease", c.lease)
-	if !c.isLeader {
-		e.startFollower()
-	}
-	c.wg.Add(1)
-	go c.loop()
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
+	c.wg.Add(2)
+	go c.loop(ctx)
+	go e.followLoop(ctx)
 }
 
 func (e *Engine) stopCluster() {
 	if e.cluster == nil {
 		return
 	}
-	close(e.cluster.stop)
+	e.cluster.cancel()
 	e.cluster.wg.Wait()
 }
 
@@ -181,13 +190,13 @@ func (c *clusterNode) followTarget() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.isLeader {
-		return "" // promoted mid-loop: nothing to pull from
+		return ""
 	}
 	return c.leader
 }
 
 // ClusterState reports this member's view of the fleet (the
-// GET /v1/cluster/state payload). Without cluster options the member is
+// GET /v1/cluster/state payload). An engine outside any cluster is
 // RoleSingle.
 func (e *Engine) ClusterState() ClusterState {
 	_, lastSeq := e.journalStats()
@@ -219,7 +228,7 @@ func (c *clusterNode) role() string {
 }
 
 // noteContact records proof of leader life (the mirror loop calls it after
-// every successful tail pull).
+// every successful feed pull).
 func (c *clusterNode) noteContact() {
 	c.mu.Lock()
 	if !c.isLeader {
@@ -228,16 +237,25 @@ func (c *clusterNode) noteContact() {
 	c.mu.Unlock()
 }
 
+// LeaseOutranks reports whether the leadership claim (epoch, leader)
+// outranks the claim (curEpoch, curLeader): a higher epoch wins, and at an
+// equal epoch the greater leader URL wins. It is the fence every member
+// applies to lease claims and the order by which the gateway names the
+// fleet's leader.
+func LeaseOutranks(epoch uint64, leader string, curEpoch uint64, curLeader string) bool {
+	return epoch > curEpoch || (epoch == curEpoch && leader > curLeader)
+}
+
 // observeLease folds one lease claim — replicated, recovered, or polled —
-// into the node's view. Claims are ordered by (epoch, leader URL); a claim
-// above ours moves the lease: a leader observing it demotes itself (the
-// fencing path), a follower re-aims its mirror at the new leader.
+// into the node's view. A claim that outranks ours moves the lease: a
+// leader observing it demotes itself (the fencing path), a follower's
+// mirror loop re-aims at the new leader.
 func (c *clusterNode) observeLease(claim leaseClaim) {
 	if claim.Leader == "" {
 		return
 	}
 	c.mu.Lock()
-	if claim.Epoch < c.epoch || (claim.Epoch == c.epoch && claim.Leader <= c.leader) {
+	if !LeaseOutranks(claim.Epoch, claim.Leader, c.epoch, c.leader) {
 		if claim.Epoch == c.epoch && claim.Leader == c.leader && !c.isLeader {
 			c.lastContact = time.Now() // renewal from the current leader
 		}
@@ -255,11 +273,10 @@ func (c *clusterNode) observeLease(claim leaseClaim) {
 		slog.Warn("deposed; demoting to follower", "component", "cluster", "member", c.self, "leader", claim.Leader, "epoch", claim.Epoch)
 		c.e.met.clusterIsLeader.Set(0)
 		c.e.met.clusterDemotions.Inc()
-		c.e.startFollower()
 	}
 }
 
-func (c *clusterNode) loop() {
+func (c *clusterNode) loop(ctx context.Context) {
 	defer c.wg.Done()
 	t := time.NewTicker(c.heartbeat)
 	defer t.Stop()
@@ -267,7 +284,7 @@ func (c *clusterNode) loop() {
 		select {
 		case <-t.C:
 			c.tick()
-		case <-c.stop:
+		case <-ctx.Done():
 			return
 		}
 	}
@@ -291,19 +308,18 @@ func (c *clusterNode) tick() {
 		}
 		return
 	}
-	if stale > c.lease && c.elect() {
-		c.e.met.clusterFailovers.Inc()
+	if stale > c.lease {
+		c.elect(true)
 	}
 }
 
 // elect runs one election round: at boot for a member with no recorded
-// lease, and after the lease expired. The round either adopts a live
-// leader, promotes this node (no reachable peer has replicated further),
-// or defers to a better-positioned candidate — in which case the lease
-// stays expired and the next tick re-runs the round, so a better
-// candidate that then dies too doesn't wedge the fleet. It reports
-// whether this node promoted itself.
-func (c *clusterNode) elect() bool {
+// lease, and after the lease expired (failover). The round either adopts a
+// live leader, promotes this node (no reachable peer has replicated
+// further), or defers to a better-positioned candidate — in which case the
+// lease stays expired and the next tick re-runs the round, so a better
+// candidate that then dies too doesn't wedge the fleet.
+func (c *clusterNode) elect(failover bool) {
 	states := c.pollPeers()
 	c.mu.Lock()
 	myEpoch, myLeader := c.epoch, c.leader
@@ -321,7 +337,7 @@ func (c *clusterNode) elect() bool {
 				slog.Info("election found a live leader; adopting", "component", "cluster", "member", c.self, "leader", st.Self, "epoch", st.Epoch)
 			}
 			c.observeLease(leaseClaim{Epoch: st.Epoch, Leader: st.Self})
-			return false
+			return
 		}
 	}
 	cursor := uint64(c.e.met.replCursor.Value())
@@ -332,18 +348,21 @@ func (c *clusterNode) elect() bool {
 		if st.ReplCursor > cursor || (st.ReplCursor == cursor && st.Self > c.self) {
 			slog.Info("deferring election to better-replicated peer", "component", "cluster",
 				"member", c.self, "peer", st.Self, "peer_cursor", st.ReplCursor, "cursor", cursor)
-			return false
+			return
 		}
 	}
-	c.promote(myEpoch + 1)
-	return true
+	c.promote(myEpoch+1, failover)
 }
 
-// promote makes this node the leader of epoch: stop mirroring, flip to
-// accepting writes as the replication source, and assert the claim with a
-// durable lease record that replicates to the rest of the fleet.
-func (c *clusterNode) promote(epoch uint64) {
-	c.e.stopFollower()
+// promote makes this node the leader of epoch: flip to the replication
+// source (the mirror loop stops pulling) and assert the claim with a
+// durable lease record that replicates to the rest of the fleet. A
+// failover is counted before the role flips, so no reader sees the new
+// leader without it.
+func (c *clusterNode) promote(epoch uint64, failover bool) {
+	if failover {
+		c.e.met.clusterFailovers.Inc()
+	}
 	c.mu.Lock()
 	c.epoch = epoch
 	c.leader = c.self
@@ -358,22 +377,38 @@ func (c *clusterNode) promote(epoch uint64) {
 }
 
 // appendLease durably asserts (or renews) this node's leadership in the
-// journal. The commit wakes followers' long-polling tail pulls, so one
+// journal. The commit wakes followers' long-polling feed pulls, so one
 // append is both the ballot and the heartbeat.
 func (c *clusterNode) appendLease() {
 	c.mu.Lock()
 	claim := leaseClaim{Epoch: c.epoch, Leader: c.self, Time: time.Now().UnixNano()}
 	c.lastContact = time.Now()
 	c.mu.Unlock()
-	if c.e.journal == nil {
-		return // memory-only member: leadership still works, just isn't durable
-	}
 	data, err := json.Marshal(claim)
 	if err != nil {
 		slog.Error("failed to encode lease", "component", "cluster", "member", c.self, "epoch", claim.Epoch, "err", err)
 		return
 	}
-	if _, err := c.e.journal.Append(journal.MetaKey(journal.LeaseKind), data); err != nil {
+	c.journalLease(claim, data)
+}
+
+// journalLease appends one lease record, claim encoded as value, unless
+// this node has observed a claim that outranks it. leaseMu spans the check
+// and the append, so lease records enter the journal in fence order: a
+// window pulled from a deposed leader cannot journal its claim after this
+// node's promotion, and a re-pulled history does not journal stale claims.
+// Replay, which recovers the last lease record, and compaction, which keeps
+// it, therefore see the newest claim the node knew.
+func (c *clusterNode) journalLease(claim leaseClaim, value []byte) {
+	c.leaseMu.Lock()
+	defer c.leaseMu.Unlock()
+	c.mu.Lock()
+	stale := LeaseOutranks(c.epoch, c.leader, claim.Epoch, claim.Leader)
+	c.mu.Unlock()
+	if stale {
+		return
+	}
+	if _, err := c.e.journal.Append(journal.MetaKey(journal.LeaseKind), value); err != nil {
 		slog.Error("failed to append lease record", "component", "cluster", "member", c.self, "epoch", claim.Epoch, "err", err)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // member is one in-process cluster member: an engine plus a real HTTP
@@ -375,6 +378,87 @@ func TestPullBackoffGaugeReadsSeconds(t *testing.T) {
 	})
 	if st := b.eng.ClusterState(); st.Role != RoleFollower || st.Leader != urlA {
 		t.Fatalf("B is %s of %q after A came back, want follower of A", st.Role, st.Leader)
+	}
+}
+
+// TestClusterMemberNeedsJournal: the journal is the ballot box and the
+// replication feed, so a member without an open journal — no JournalDir,
+// or caching disabled, which leaves the journal unopened — runs single
+// rather than lead a fleet it could serve no feed to.
+func TestClusterMemberNeedsJournal(t *testing.T) {
+	_, self := newMemberListener(t)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"no JournalDir", clusterOpts(self, nil, "")},
+		{"CacheSize < 0", func() Options {
+			o := clusterOpts(self, nil, t.TempDir())
+			o.CacheSize = -1
+			return o
+		}()},
+	} {
+		e := New(tc.opt)
+		st := e.ClusterState()
+		e.Close()
+		if st.Role != RoleSingle || st.Epoch != 0 {
+			t.Fatalf("%s: member is %s at epoch %d, want %s at epoch 0", tc.name, st.Role, st.Epoch, RoleSingle)
+		}
+	}
+}
+
+// TestStaleLeaseNotJournaled: a replicated lease claim that the member's
+// view outranks — from a re-pulled history, or from a window a deposed
+// leader answered after this member moved on — is not journaled, so a
+// restart recovers the newest claim the member knew, not the last one it
+// pulled.
+func TestStaleLeaseNotJournaled(t *testing.T) {
+	_, self := newMemberListener(t)
+	dir := t.TempDir()
+	window := func(epoch uint64, leader string) []TailRecord {
+		v, err := json.Marshal(leaseClaim{Epoch: epoch, Leader: leader})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []TailRecord{{Seq: 1, Key: hex.EncodeToString(journal.MetaKey(journal.LeaseKind)), Value: v}}
+	}
+	const usurper = "http://127.0.0.1:1" // refuses connections: no name lookup
+	e := New(clusterOpts(self, nil, dir))
+	if st := e.ClusterState(); st.Role != RoleLeader || st.Epoch != 1 {
+		t.Fatalf("lone member is %s at epoch %d, want leader at epoch 1", st.Role, st.Epoch)
+	}
+	e.applyWindow(window(2, usurper), 0) // deposes the member
+	e.applyWindow(window(1, self), 0)    // its own old claim, pulled late
+	e.Close()
+
+	e = New(clusterOpts(self, nil, dir))
+	defer e.Close()
+	if st := e.ClusterState(); st.Role != RoleFollower || st.Leader != usurper || st.Epoch != 2 {
+		t.Fatalf("restarted member is %s of %q at epoch %d, want follower of %q at epoch 2", st.Role, st.Leader, st.Epoch, usurper)
+	}
+}
+
+// TestLeaseOutranks pins the one leadership order that members fence on
+// and the gateway names the fleet's leader by.
+func TestLeaseOutranks(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		epoch          uint64
+		leader         string
+		curEpoch       uint64
+		curLeader      string
+		outranks, back bool // claim over current, current over claim
+	}{
+		{"higher epoch wins", 3, "http://a:1", 2, "http://b:1", true, false},
+		{"equal epoch, greater URL wins", 2, "http://b:1", 2, "http://a:1", true, false},
+		{"equal claims", 2, "http://a:1", 2, "http://a:1", false, false},
+	} {
+		if got := LeaseOutranks(tc.epoch, tc.leader, tc.curEpoch, tc.curLeader); got != tc.outranks {
+			t.Errorf("%s: LeaseOutranks(%d, %q, %d, %q) = %v, want %v", tc.name, tc.epoch, tc.leader, tc.curEpoch, tc.curLeader, got, tc.outranks)
+		}
+		if got := LeaseOutranks(tc.curEpoch, tc.curLeader, tc.epoch, tc.leader); got != tc.back {
+			t.Errorf("%s, reversed: LeaseOutranks(%d, %q, %d, %q) = %v, want %v", tc.name, tc.curEpoch, tc.curLeader, tc.epoch, tc.leader, got, tc.back)
+		}
 	}
 }
 

@@ -75,13 +75,15 @@ type Options struct {
 	// ClusterSelf, when non-empty, runs this engine as a member of a
 	// self-healing cluster, advertised to peers at this base URL. Members
 	// elect a leader through lease records in the journal and followers
-	// mirror the leader's journal into their cache (and journal); when the
-	// leader's lease expires, the follower with the highest replicated
-	// cursor promotes itself and the rest of the fleet re-aims at it. A
-	// member whose journal holds no lease runs one election inside New,
-	// before it serves: it adopts a live leader, or leads when no reachable
-	// peer does. Cluster mode wants JournalDir set — the journal is both
-	// the ballot box and the replication feed.
+	// mirror the leader's journal records into their own journal and
+	// cache; when the leader's lease expires, the follower with the
+	// highest replicated cursor promotes itself and the rest of the fleet
+	// re-aims at it. A member whose journal holds no lease runs one
+	// election inside New, before it serves: it adopts a live leader, or
+	// leads when no reachable peer does. A member needs an open journal —
+	// it is both the ballot box and the replication feed — so JournalDir
+	// must be set and CacheSize must not be negative; otherwise the engine
+	// logs why and runs single (RoleSingle).
 	ClusterSelf string
 	// ClusterPeers lists the other members' base URLs (excluding self).
 	ClusterPeers []string
@@ -204,10 +206,7 @@ type Engine struct {
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
 
-	followCancel func() // cancels the follower's context; nil when not following
-	followWG     sync.WaitGroup
-
-	cluster        *clusterNode // lease-based election state; nil without ClusterSelf
+	cluster        *clusterNode // lease-based election state; nil unless a member with an open journal
 	recoveredLease *leaseClaim  // newest lease record seen during journal replay
 
 	streamStop chan struct{} // guarded by mu; closed and replaced by StopStreams
@@ -262,14 +261,20 @@ func New(opt Options) *Engine {
 		e.openJournal()
 	}
 	if opt.ClusterSelf != "" {
-		e.startCluster()
+		if e.journal != nil {
+			e.startCluster()
+		} else {
+			// The journal is the ballot box and the replication feed: a
+			// member without one could lead and then serve no feed.
+			log.Printf("engine: cluster member %s has no open journal (JournalDir=%q, CacheSize=%d): running single",
+				opt.ClusterSelf, opt.JournalDir, opt.CacheSize)
+		}
 	}
-	if e.cache == nil && (opt.JournalDir != "" || opt.ClusterSelf != "") {
-		// Journal and follower state both live in the result cache; with
-		// caching disabled they would be write-only. Say so loudly rather
-		// than let an operator believe results are durable.
-		log.Printf("engine: caching disabled (CacheSize < 0): ignoring JournalDir=%q and mirroring for ClusterSelf=%q — results will NOT be durable or mirrored",
-			opt.JournalDir, opt.ClusterSelf)
+	if e.cache == nil && opt.JournalDir != "" {
+		// The journal replays into the result cache; with caching disabled
+		// it would be write-only. Say so loudly rather than let an
+		// operator believe results are durable.
+		log.Printf("engine: caching disabled (CacheSize < 0): ignoring JournalDir=%q — results will NOT be durable", opt.JournalDir)
 	}
 	for i := 0; i < opt.Workers; i++ {
 		e.workerWG.Add(1)
@@ -485,11 +490,7 @@ func (e *Engine) CloseTimeout(d time.Duration) {
 	e.closed = true
 	e.mu.Unlock()
 	e.StopStreams()
-	// The cluster loop stops before the follower: it is the only other
-	// caller of startFollower/stopFollower, so once it has exited the
-	// follower teardown below cannot race a failover restarting it.
 	e.stopCluster()
-	e.stopFollower()
 	drained := make(chan struct{})
 	go func() {
 		e.submitWG.Wait()

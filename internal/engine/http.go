@@ -54,8 +54,10 @@ type HealthResponse struct {
 //	                              per job as it finishes (replayed from the
 //	                              start for late subscribers, each result
 //	                              exactly once), then one "done" event
-//	GET  /v1/journal/tail         -> committed journal records past a
-//	                              cursor (?after=N&limit=M&wait=25s), the
+//	GET  /v1/journal/records      -> committed journal records past a
+//	                              cursor (?after=N&limit=M&wait=25s), each
+//	                              {"seq","key","value"} with the journaled
+//	                              value bytes in base64: the
 //	                              follower-replication feed
 //	GET  /healthz                 -> liveness: {"status":"ok","stats":{...}}
 //	GET  /readyz                  -> readiness: 200 while the member should
@@ -166,8 +168,8 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	handle("GET /v1/batches/{id}/events", "/v1/batches/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		serveBatchEvents(e, w, r)
 	})
-	handle("GET /v1/journal/tail", "/v1/journal/tail", func(w http.ResponseWriter, r *http.Request) {
-		serveJournalTail(e, w, r)
+	handle("GET /v1/journal/records", "/v1/journal/records", func(w http.ResponseWriter, r *http.Request) {
+		serveJournalRecords(e, w, r)
 	})
 	handle("GET /healthz", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and serving. Deliberately undemanding —
@@ -290,19 +292,19 @@ func serveBatchEvents(e *Engine, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tailWaitMax caps how long one tail request may long-poll for new
-// records before answering empty.
+// tailWaitMax caps how long one feed request may long-poll for new records
+// before answering empty.
 const tailWaitMax = 30 * time.Second
 
-// tailLimitMax caps records per tail response.
+// tailLimitMax caps the records of one feed response.
 const tailLimitMax = 4096
 
-// serveJournalTail answers the follower-replication feed: committed
+// serveJournalRecords answers the follower-replication feed: committed
 // journal records with sequence numbers past ?after, oldest first, up to
-// ?limit. With ?wait, an empty read long-polls until the next group commit
-// (or the wait expires), so a caught-up follower converges one commit
-// behind the leader instead of one poll interval.
-func serveJournalTail(e *Engine, w http.ResponseWriter, r *http.Request) {
+// ?limit, each shipped verbatim. With ?wait, an empty read long-polls until
+// the next group commit (or the wait expires), so a caught-up follower
+// converges one commit behind the leader instead of one poll interval.
+func serveJournalRecords(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if e.journal == nil {
 		httpError(w, http.StatusNotFound, "journal not enabled (start the server with -journal-dir)")
 		return
@@ -343,15 +345,6 @@ func serveJournalTail(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
-	}
-	if len(resp.Records) == 0 && resp.MaxSeq > after {
-		// The window was scanned but every record was skipped as
-		// undecodable. A current follower advances its cursor from MaxSeq
-		// as soon as it sees the response, but an older follower ignores
-		// max_seq and would re-poll the same window immediately — so pace
-		// it with a short wait instead of the full long poll (which would
-		// stall cursor advance for current followers).
-		wait = min(wait, time.Second)
 	}
 	if len(resp.Records) == 0 && wait > 0 {
 		timer := time.NewTimer(wait)

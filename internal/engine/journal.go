@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"log"
-	"reflect"
 	"time"
 
 	"repro/internal/journal"
@@ -149,68 +148,41 @@ func (e *Engine) journalStats() (records int, lastSeq uint64) {
 	return e.journal.Records(), e.journal.LastSeq()
 }
 
-// resultsEqual reports whether a replicated result matches the cached one
-// verbatim (the skip-if-already-applied check of applyWindow).
-func resultsEqual(a, b JobResult) bool { return reflect.DeepEqual(a, b) }
-
 // TailRecord is the wire form of one journal record on the replication
-// endpoint: the sequence cursor, the hex key, and the payload — Result for
-// job records, Meta (the raw value, currently a lease claim) for records
-// in the journal's reserved meta-key namespace.
+// endpoint: the sequence cursor, the hex key, and the value bytes exactly
+// as the leader journaled them (base64 in JSON, since a value need not be
+// JSON) — a JobResult for job records, a lease claim for records in the
+// journal's reserved meta-key namespace.
 type TailRecord struct {
-	Seq    uint64          `json:"seq"`
-	Key    string          `json:"key"`
-	Result JobResult       `json:"result"`
-	Meta   json.RawMessage `json:"meta,omitempty"`
+	Seq   uint64 `json:"seq"`
+	Key   string `json:"key"`
+	Value []byte `json:"value"`
 }
 
-// TailResponse is the GET /v1/journal/tail payload. MaxSeq is the highest
-// sequence number scanned for this response — past skipped (undecodable)
-// records as well as returned ones — so a follower advances its cursor
-// even when a whole window fails to decode (build version skew) instead of
-// re-pulling the same records forever.
+// TailResponse is the GET /v1/journal/records payload: every committed
+// record in the window, oldest first, and the leader's newest committed
+// sequence number.
 type TailResponse struct {
 	LastSeq uint64       `json:"last_seq"`
-	MaxSeq  uint64       `json:"max_seq"`
 	Records []TailRecord `json:"records"`
 }
 
 // journalTail reads up to limit committed records past the cursor for the
-// replication endpoint.
+// replication endpoint. It decodes nothing: each record ships verbatim.
 func (e *Engine) journalTail(after uint64, limit int) (TailResponse, error) {
 	recs, last, err := e.journal.ReadAfter(after, limit)
 	if err != nil {
 		return TailResponse{}, err
 	}
-	resp := TailResponse{LastSeq: last, MaxSeq: after, Records: make([]TailRecord, 0, len(recs))}
-	for _, rec := range recs {
-		resp.MaxSeq = rec.Seq // ReadAfter returns records oldest first
-		if journal.IsMetaKey(rec.Key) {
-			// Meta-record values are not JobResults; ship them raw so the
-			// follower's election state sees the exact claim.
-			resp.Records = append(resp.Records, TailRecord{
-				Seq:  rec.Seq,
-				Key:  hex.EncodeToString(rec.Key),
-				Meta: json.RawMessage(rec.Value),
-			})
-			continue
-		}
-		var r JobResult
-		if jerr := json.Unmarshal(rec.Value, &r); jerr != nil {
-			log.Printf("engine: journal record %d undecodable on tail: %v (skipped)", rec.Seq, jerr)
-			continue
-		}
-		resp.Records = append(resp.Records, TailRecord{
-			Seq:    rec.Seq,
-			Key:    hex.EncodeToString(rec.Key),
-			Result: r,
-		})
+	resp := TailResponse{LastSeq: last, Records: make([]TailRecord, len(recs))}
+	for i, rec := range recs {
+		resp.Records[i] = TailRecord{Seq: rec.Seq, Key: hex.EncodeToString(rec.Key), Value: rec.Value}
 	}
 	return resp, nil
 }
 
 // journalNotify exposes the journal's commit signal to the long-polling
-// tail endpoint.
+// records endpoint.
 func (e *Engine) journalNotify() <-chan struct{} {
 	return e.journal.Notify()
 }

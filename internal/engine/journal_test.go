@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -77,11 +78,27 @@ func TestJournalKillRestart64(t *testing.T) {
 	}
 }
 
+// jobRecords reads every job record of e's journal (lease meta-records
+// excluded), oldest first.
+func jobRecords(t *testing.T, e *Engine) []journal.Record {
+	t.Helper()
+	var recs []journal.Record
+	if err := e.journal.Replay(0, func(rec journal.Record) error {
+		if !journal.IsMetaKey(rec.Key) {
+			recs = append(recs, rec)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // TestFollowerConverges is the replication acceptance check on a
 // two-member cluster: the member that joins second adopts the leader at
 // boot, converges to its cache and passes the same all-from-cache
 // bit-identical batch check, including after a restart from its own
-// journal.
+// journal, and its journal holds the leader's record bytes.
 func TestFollowerConverges(t *testing.T) {
 	specs := batch64()
 	lnL, urlL := newMemberListener(t)
@@ -151,12 +168,15 @@ func TestFollowerConverges(t *testing.T) {
 
 	// Restarted as a member, the follower resumes mirroring the leader its
 	// journal recorded and re-pulls the leader's history from cursor zero,
-	// but recognizes every already-restored record: its local journal must
-	// not gain a second copy of the history. One genuinely new leader
-	// result (seq 65, ordered after the 64 replayed records) proves the
+	// but recognizes every record whose spec hash its journal holds: its
+	// journal must not gain a second copy of the history, even with a
+	// cache too small to hold it (16 of 64 entries). One genuinely new
+	// leader result (ordered after the 64 history records) proves the
 	// catch-up pull completed. Only job records are counted: a member also
 	// journals the lease records it mirrors.
-	f3 := New(clusterOpts(urlF, []string{urlL}, followerDir))
+	opts := clusterOpts(urlF, []string{urlL}, followerDir)
+	opts.CacheSize = 16
+	f3 := New(opts)
 	defer f3.Close()
 	extra := fig8Spec(MapHBA)
 	extra.OpenRate = 0.10
@@ -166,31 +186,34 @@ func TestFollowerConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(15 * time.Second)
-	for f3.Stats().CacheEntries < len(specs)+1 {
+	for f3.Stats().Replicated < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("re-attached follower stuck at %d entries", f3.Stats().CacheEntries)
+			t.Fatalf("re-attached follower applied none of the leader's new record (%d skipped)", f3.met.replSkipped.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	jobs := 0
-	if err := f3.journal.Replay(0, func(rec journal.Record) error {
-		if !journal.IsMetaKey(rec.Key) {
-			jobs++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if jobs != len(specs)+1 {
+	got := jobRecords(t, f3)
+	if len(got) != len(specs)+1 {
 		t.Fatalf("re-attached follower journal holds %d job records, want %d (history must not re-append)",
-			jobs, len(specs)+1)
+			len(got), len(specs)+1)
+	}
+	// Every job record the follower journaled came from the leader and
+	// holds the leader's bytes for that key.
+	leaderValue := make(map[string][]byte)
+	for _, rec := range jobRecords(t, leader.eng) {
+		leaderValue[string(rec.Key)] = rec.Value
+	}
+	for _, rec := range got {
+		if want, ok := leaderValue[string(rec.Key)]; !ok || !bytes.Equal(rec.Value, want) {
+			t.Fatalf("follower record %d for key %q differs from the leader's:\n  follower %s\n  leader   %s",
+				rec.Seq, rec.Key, rec.Value, want)
+		}
 	}
 }
 
 // TestFollowerLiveMirroring checks results computed on the leader while
 // the follower is already attached stream across promptly (the long-poll
-// wakes on the leader's next commit, not on a poll interval). The follower
-// is a member without a journal: a cache-only mirror.
+// wakes on the leader's next commit, not on a poll interval).
 func TestFollowerLiveMirroring(t *testing.T) {
 	lnL, urlL := newMemberListener(t)
 	_, urlF := newMemberListener(t)
@@ -200,7 +223,7 @@ func TestFollowerLiveMirroring(t *testing.T) {
 	leader.serve()
 	defer leader.srv.Close()
 
-	opts := clusterOpts(urlF, []string{urlL}, "")
+	opts := clusterOpts(urlF, []string{urlL}, t.TempDir())
 	opts.Workers, opts.CacheSize = 1, 256
 	follower := New(opts)
 	defer follower.Close()
@@ -223,11 +246,11 @@ func TestFollowerLiveMirroring(t *testing.T) {
 	}
 }
 
-// TestJournalTailAdvancesPastUndecodable pins the replication feed's
-// cursor semantics under build version skew: a window of records that
-// frame correctly but don't decode as JobResults must still advance
-// MaxSeq, or a follower whose every pull lands on such a window re-reads
-// it forever and never converges.
+// TestJournalTailAdvancesPastUndecodable pins the replication feed under
+// build version skew: records that frame correctly but don't decode as
+// JobResults ship verbatim, and a follower that applies the window
+// advances its cursor past them without caching or journaling them — so it
+// neither re-reads the window forever nor marks their spec hashes applied.
 func TestJournalTailAdvancesPastUndecodable(t *testing.T) {
 	e := New(Options{Workers: 1, JournalDir: t.TempDir()})
 	defer e.Close()
@@ -240,19 +263,26 @@ func TestJournalTailAdvancesPastUndecodable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Records) != 0 || resp.MaxSeq != 2 {
-		t.Fatalf("tail over undecodable window: %d records, MaxSeq %d; want 0 records, MaxSeq 2",
-			len(resp.Records), resp.MaxSeq)
+	if len(resp.Records) != 2 || resp.LastSeq != 2 {
+		t.Fatalf("tail over undecodable window: %d records, LastSeq %d; want 2 records, LastSeq 2",
+			len(resp.Records), resp.LastSeq)
 	}
-	// Re-pulling from the advanced cursor finds nothing left to scan —
-	// the follower is past the poison, not stuck on it.
-	resp, err = e.journalTail(resp.MaxSeq, 2)
-	if err != nil {
-		t.Fatal(err)
+	for i, rec := range resp.Records {
+		if rec.Seq != uint64(i+1) || string(rec.Value) != "not a JobResult" {
+			t.Fatalf("record %d = seq %d value %q, want seq %d shipped verbatim", i, rec.Seq, rec.Value, i+1)
+		}
 	}
-	if len(resp.Records) != 0 || resp.MaxSeq != 2 {
-		t.Fatalf("tail past the window: %d records, MaxSeq %d; want 0 records, MaxSeq 2",
-			len(resp.Records), resp.MaxSeq)
+
+	f := New(Options{Workers: 1, JournalDir: t.TempDir()})
+	defer f.Close()
+	if cursor := f.applyWindow(resp.Records, 0); cursor != 2 {
+		t.Fatalf("follower cursor after the window = %d, want 2", cursor)
+	}
+	if n := f.Stats().CacheEntries; n != 0 {
+		t.Fatalf("follower cached %d undecodable records, want 0", n)
+	}
+	if n := f.journal.Records(); n != 0 {
+		t.Fatalf("follower journaled %d undecodable records, want 0", n)
 	}
 }
 

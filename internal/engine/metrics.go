@@ -106,7 +106,7 @@ func newEngineMetrics() *engineMetrics {
 		replApplied: reg.NewCounter("xbar_replication_applied_total",
 			"Records replicated from the followed peer and applied locally."),
 		replSkipped: reg.NewCounter("xbar_replication_skipped_total",
-			"Replicated records skipped because the local cache already held them verbatim."),
+			"Replicated job records skipped because the local journal already held their spec hash."),
 		replPullErrs: reg.NewCounter("xbar_replication_pull_errors_total",
 			"Failed tail pulls against the followed peer."),
 		replCursor: reg.NewGauge("xbar_replication_cursor",

@@ -533,9 +533,10 @@ type memberClusterState struct {
 }
 
 // fleetState is the gateway's GET /v1/cluster/state payload: every
-// member's own view plus the gateway's conclusion about who leads (the
-// highest-epoch leader claim wins — exactly the fencing order members
-// use, so the gateway and the fleet converge on the same answer).
+// member's own view plus the gateway's conclusion about who leads: the
+// leader claim that outranks the others by engine.LeaseOutranks, the
+// fencing order members use, so the gateway and the fleet converge on the
+// same answer.
 type fleetState struct {
 	Leader  string               `json:"leader,omitempty"`
 	Epoch   uint64               `json:"epoch,omitempty"`
@@ -571,7 +572,7 @@ func (g *Gateway) serveClusterState(w http.ResponseWriter, r *http.Request) {
 		if st == nil || st.Role != engine.RoleLeader {
 			continue
 		}
-		if st.Epoch > out.Epoch || (st.Epoch == out.Epoch && st.Self > out.Leader) {
+		if engine.LeaseOutranks(st.Epoch, st.Self, out.Epoch, out.Leader) {
 			out.Leader, out.Epoch = st.Self, st.Epoch
 		}
 	}

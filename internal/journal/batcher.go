@@ -144,7 +144,7 @@ func (j *Journal) submit(req *appendReq) (res appendRes, recycle bool) {
 // repeat.
 func (j *Journal) run() {
 	defer close(j.done)
-	batch := make([]*appendReq, 0, j.opt.BatchRecords)
+	batch := make([]*appendReq, 0, DefaultBatchRecords)
 	for {
 		batch = batch[:0]
 		nrec := 0
@@ -167,7 +167,7 @@ func (j *Journal) run() {
 			}
 		}
 	drain:
-		for nrec < j.opt.BatchRecords {
+		for nrec < DefaultBatchRecords {
 			select {
 			case req := <-j.in:
 				batch = append(batch, req)

@@ -32,8 +32,6 @@ type Options struct {
 	// SegmentBytes rotates the live segment once it grows past this many
 	// bytes; zero means DefaultSegmentBytes.
 	SegmentBytes int64
-	// BatchRecords caps one group commit; zero means DefaultBatchRecords.
-	BatchRecords int
 	// NoSync skips the per-commit fsync (records are still written through
 	// the OS). For tests and benchmarks; production journals must sync.
 	NoSync bool
@@ -42,11 +40,6 @@ type Options struct {
 	// MaxRecords keeps only the newest this-many live records at
 	// compaction; zero keeps all.
 	MaxRecords int
-	// RingRecords bounds the in-memory ring of recent committed records
-	// that answers tail reads (ReadAfter) without re-reading segment files
-	// under the journal lock; zero means DefaultRingRecords, negative
-	// disables the ring (every tail read scans files).
-	RingRecords int
 	// Metrics, when non-nil, registers the journal's instrument families
 	// (commit latency by sync mode, group-commit batch size, append/
 	// compaction outcomes, seq/records/segments gauges, tail-read sources)
@@ -58,8 +51,7 @@ const (
 	// DefaultSegmentBytes is the rotation threshold when
 	// Options.SegmentBytes is zero.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultBatchRecords is the group-commit cap when
-	// Options.BatchRecords is zero.
+	// DefaultBatchRecords caps the records of one group commit.
 	DefaultBatchRecords = 256
 )
 
@@ -86,7 +78,7 @@ type Journal struct {
 	keys     map[string]int // on-disk record count per key (dup detection)
 	oldest   int64          // oldest record Time in the generation, 0 when empty
 	notify   chan struct{}  // closed and replaced on every commit
-	ring     *recordRing    // recent committed records; nil when disabled
+	ring     *recordRing    // recent committed records
 	closed   bool
 	failed   error // sticky: rollback of a failed commit failed, appends refused
 
@@ -124,9 +116,6 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = DefaultSegmentBytes
 	}
-	if opt.BatchRecords <= 0 {
-		opt.BatchRecords = DefaultBatchRecords
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -151,19 +140,13 @@ func Open(dir string, opt Options) (*Journal, error) {
 		opt:    opt,
 		keys:   make(map[string]int),
 		notify: make(chan struct{}),
-		in:     make(chan *appendReq, 4*opt.BatchRecords),
+		in:     make(chan *appendReq, 4*DefaultBatchRecords),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		now:    time.Now,
 		lock:   lock,
 		met:    newJournalMetrics(opt.Metrics, opt.NoSync),
-	}
-	ringCap := opt.RingRecords
-	if ringCap == 0 {
-		ringCap = DefaultRingRecords
-	}
-	if ringCap > 0 {
-		j.ring = newRecordRing(ringCap)
+		ring:   newRecordRing(ringCapacity),
 	}
 	m, ok, err := readManifest(dir)
 	if err != nil {
@@ -412,6 +395,13 @@ func (j *Journal) Records() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records
+}
+
+// Has reports whether the journal holds a committed record under key.
+func (j *Journal) Has(key []byte) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.keys[string(key)] > 0
 }
 
 // Segments reports how many segment files the active generation holds.

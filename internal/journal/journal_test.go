@@ -545,3 +545,37 @@ func TestCompactAgeAndCountPolicy(t *testing.T) {
 		t.Fatalf("kept seqs %d..%d, want 16..20", recs[0].Seq, recs[4].Seq)
 	}
 }
+
+// TestHas checks Has tracks the committed key set: appends add keys,
+// recovery restores them, and compaction forgets the keys it drops.
+func TestHas(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{NoSync: true, MaxRecords: 2}
+	j, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Has(key(0)) {
+		t.Fatal("empty journal has key 0")
+	}
+	appendN(t, j, 0, 3)
+	if !j.Has(key(0)) || j.Has(key(3)) {
+		t.Fatalf("after appending keys 0-2: Has(0) = %v, Has(3) = %v; want true, false", j.Has(key(0)), j.Has(key(3)))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !j.Has(key(0)) {
+		t.Fatal("recovered journal lost key 0")
+	}
+	if err := j.Compact(); err != nil { // MaxRecords 2 drops key 0
+		t.Fatal(err)
+	}
+	if j.Has(key(0)) || !j.Has(key(2)) {
+		t.Fatalf("after compaction to keys 1-2: Has(0) = %v, Has(2) = %v; want false, true", j.Has(key(0)), j.Has(key(2)))
+	}
+}

@@ -2,10 +2,10 @@ package journal
 
 import "sort"
 
-// DefaultRingRecords is the tail-ring capacity when Options.RingRecords is
-// zero: comfortably larger than one follower pull window (1024 records) so
-// a caught-up follower never falls through to a file scan.
-const DefaultRingRecords = 2048
+// ringCapacity is the tail ring's record capacity: comfortably larger than
+// one follower pull window (1024 records) so a caught-up follower never
+// falls through to a file scan. Tests shrink it to reach the scan path.
+var ringCapacity = 2048
 
 // recordRing is a fixed-capacity ring of the newest committed records,
 // kept in sequence order. It exists so tail reads (ReadAfter — the
@@ -33,9 +33,6 @@ func newRecordRing(capacity int) *recordRing {
 //
 //xbar:hotpath
 func (r *recordRing) push(rec Record) {
-	if r == nil {
-		return
-	}
 	if r.n == len(r.buf) {
 		r.floor = r.buf[r.start].Seq
 		r.buf[r.start] = Record{}
@@ -49,7 +46,7 @@ func (r *recordRing) push(rec Record) {
 // covers reports whether every committed record with Seq > after is in the
 // ring, i.e. whether a read from this cursor needs no file scan.
 func (r *recordRing) covers(after uint64) bool {
-	return r != nil && after >= r.floor
+	return after >= r.floor
 }
 
 // readAfter returns up to limit records with Seq > after, oldest first
@@ -81,9 +78,6 @@ func (r *recordRing) readAfter(after uint64, limit int) []Record {
 // so the ring keeps mirroring the on-disk state across a compaction: a
 // superseded record dropped from disk is dropped from the ring too.
 func (r *recordRing) rebuild(live []Record) {
-	if r == nil {
-		return
-	}
 	r.start, r.n, r.floor = 0, 0, 0
 	if drop := len(live) - len(r.buf); drop > 0 {
 		r.floor = live[drop-1].Seq

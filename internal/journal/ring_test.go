@@ -10,6 +10,15 @@ import (
 	"repro/internal/metrics"
 )
 
+// shrinkRing sets the tail ring's capacity for journals the test opens,
+// and restores it when the test ends.
+func shrinkRing(t *testing.T, n int) {
+	t.Helper()
+	prev := ringCapacity
+	ringCapacity = n
+	t.Cleanup(func() { ringCapacity = prev })
+}
+
 // ringRecords collects the ring's contents oldest-first.
 func ringRecords(r *recordRing) []Record {
 	return r.readAfter(0, 0)
@@ -111,7 +120,8 @@ func TestRingRebuild(t *testing.T) {
 // to the scan.
 func TestReadAfterRingParity(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, SegmentBytes: 256, RingRecords: 8})
+	shrinkRing(t, 8)
+	j, err := Open(dir, Options{NoSync: true, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,8 @@ func TestReadAfterRingParity(t *testing.T) {
 // fails.
 func TestTailReadNoFileIO(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, RingRecords: 8})
+	shrinkRing(t, 8)
+	j, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,8 @@ func TestTailReadNoFileIO(t *testing.T) {
 // follower reattaching after a leader restart never pays a file scan.
 func TestRingSeededOnRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, RingRecords: 8})
+	shrinkRing(t, 8)
+	j, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +207,7 @@ func TestRingSeededOnRecovery(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	j, err = Open(dir, Options{NoSync: true, RingRecords: 8, Metrics: reg})
+	j, err = Open(dir, Options{NoSync: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +233,8 @@ func TestRingSeededOnRecovery(t *testing.T) {
 // readable at their original sequence numbers.
 func TestCompactRebuildsRing(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, RingRecords: 64})
+	shrinkRing(t, 64)
+	j, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

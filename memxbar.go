@@ -413,13 +413,15 @@ type EngineOptions struct {
 	// records at compaction; zero keeps all.
 	JournalMaxRecords int
 	// ClusterSelf, with ClusterPeers, joins this engine to lease-based
-	// leader election: the member named here participates as itself
-	// (requires JournalDir — the lease lives in the journal). Followers
-	// mirror the leader automatically; on lease expiry the follower with
-	// the highest replicated sequence promotes itself. Replication runs
-	// only between members. A member whose journal holds no lease runs
-	// one election inside NewEngine: it adopts a live leader, or leads
-	// when no reachable peer does.
+	// leader election: the member named here participates as itself.
+	// Followers mirror the leader's journal records automatically; on
+	// lease expiry the follower with the highest replicated sequence
+	// promotes itself. Replication runs only between members. A member
+	// whose journal holds no lease runs one election inside NewEngine: it
+	// adopts a live leader, or leads when no reachable peer does. A member
+	// needs an open journal — the lease and the replication feed live in
+	// it — so without JournalDir, or with CacheSize < 0, the engine logs
+	// why and runs single.
 	ClusterSelf string
 	// ClusterPeers are the other members' base URLs.
 	ClusterPeers []string

@@ -6,6 +6,8 @@
 #   - the submission error rate stays under the gate (the gateway retries
 #     and reroutes around the dead member),
 #   - a follower promotes itself within the promotion budget,
+#   - replication resumes: a fresh job posted to the new leader raises the
+#     other survivor's replicated count within the promotion budget,
 #   - the survivors' replication lag stays bounded (percentiles written to
 #     an artifact).
 #
@@ -124,6 +126,33 @@ if [ -z "$promoted" ]; then
 fi
 ELECT_S=$(echo "$(date +%s.%N) $KILL_T" | awk '{printf "%.1f", $1-$2}')
 echo "== promoted: $promoted (epoch $epoch) ${ELECT_S}s after the kill"
+
+# Replication resumes after the failover: one fresh map-hba job, posted
+# straight to the new leader, must reach the other survivor.
+other=$B
+[ "$promoted" = "$B" ] && other=$C
+replicated() { # url
+  curl -sf "$1/healthz" | grep -o '"replicated":[0-9]*' | cut -d: -f2 || true
+}
+before=$(replicated "$other")
+seed=$((RANDOM * 32768 + RANDOM + 1000)) # past the loadgen's seeds (1-256)
+resp=$(curl -sf -X POST "$promoted/v1/jobs" -H 'Content-Type: application/json' \
+  -d "{\"jobs\":[{\"kind\":\"map-hba\",\"benchmark\":\"rd53\",\"open_rate\":0.1,\"seed\":$seed}]}")
+echo "$resp" | grep -q '"batch_id"' || { echo "submit to the new leader failed: $resp" >&2; exit 1; }
+grew=""
+for _ in $(seq 1 $((PROMOTE_BUDGET_S * 10))); do
+  now=$(replicated "$other")
+  if [ "${now:-0}" -gt "${before:-0}" ]; then
+    grew=$now
+    break
+  fi
+  sleep 0.1
+done
+if [ -z "$grew" ]; then
+  echo "$other replicated nothing from $promoted within ${PROMOTE_BUDGET_S}s (replicated ${before:-0})" >&2
+  exit 1
+fi
+echo "== replication resumed: $other replicated ${before:-0} -> $grew after a fresh job on $promoted"
 
 echo "== waiting out the load run (the loadgen exits non-zero over the error gate)"
 wait "$LOADGEN_PID"
